@@ -127,9 +127,20 @@ type Observer interface {
 	FDEvent(Event)
 }
 
+// MaxID is the largest process identity a Detector stores. The tag sets are
+// dense arrays indexed by id, so a detector's memory grows with the largest
+// id it holds, and those ids arrive in queries from other processes:
+// without a bound, one forged entry for id 2^31−1 would cost gigabytes.
+// Config.Validate rejects identities above MaxID, and HandleQuery and
+// HandleResponse ignore every id outside [0, MaxID].
+const MaxID ident.ID = 1<<16 - 1
+
+// inRange reports whether id can name a process: valid and at most MaxID.
+func inRange(id ident.ID) bool { return id.Valid() && id <= MaxID }
+
 // Config parameterizes a Detector.
 type Config struct {
-	// Self is this process's identity.
+	// Self is this process's identity, at most MaxID.
 	Self ident.ID
 	// Membership selects the model; zero value defaults to KnownMembership.
 	Membership Membership
@@ -172,8 +183,8 @@ func (c Config) membership() Membership {
 
 // Validate checks structural requirements from the paper's model section.
 func (c Config) Validate() error {
-	if !c.Self.Valid() {
-		return errors.New("core: config: Self must be a valid process id")
+	if !inRange(c.Self) {
+		return fmt.Errorf("core: config: Self=%v is not a process id in [0, %d]", c.Self, MaxID)
 	}
 	if c.F < 0 {
 		return errors.New("core: config: F must be non-negative")
@@ -188,6 +199,9 @@ func (c Config) Validate() error {
 		}
 		if int(c.Self) >= c.N {
 			return fmt.Errorf("core: config: Self=%v out of range for N=%d", c.Self, c.N)
+		}
+		if c.N > int(MaxID)+1 {
+			return fmt.Errorf("core: config: N=%d names ids above MaxID=%d", c.N, MaxID)
 		}
 	case UnknownMembership:
 		if c.D <= c.F+1 {
@@ -217,8 +231,8 @@ type Detector struct {
 	cfg       Config
 	self      ident.ID
 	counter   tagset.Tag
-	suspected *tagset.Set
-	mistake   *tagset.Set
+	suspected tagset.Set
+	mistake   tagset.Set
 	known     ident.Set
 
 	round     uint64
@@ -232,12 +246,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	cfg.Membership = cfg.membership()
-	d := &Detector{
-		cfg:       cfg,
-		self:      cfg.Self,
-		suspected: tagset.New(),
-		mistake:   tagset.New(),
-	}
+	d := &Detector{cfg: cfg, self: cfg.Self}
 	if cfg.Membership == KnownMembership {
 		// All of Π is known from the start (paper's model). Self is
 		// included; it is harmless because self is always in rec_from.
@@ -309,9 +318,10 @@ func (d *Detector) BeginRound() Query {
 // counted toward the current query's quorum: responses for stale rounds and
 // duplicates are ignored, and — mirroring the optimization discussed in the
 // paper family — responses arriving after the quorum but before EndRound are
-// still counted, which only reduces false suspicions.
+// still counted, which only reduces false suspicions. A sender outside
+// [0, MaxID] is ignored.
 func (d *Detector) HandleResponse(r Response) bool {
-	if !d.roundOpen || r.Round != d.round {
+	if !d.roundOpen || r.Round != d.round || !inRange(r.From) {
 		return false
 	}
 	if d.recFrom.Has(r.From) {
@@ -390,13 +400,14 @@ func (d *Detector) EndRound() (RoundResult, error) {
 // received suspected set refutes it with a new mistake tagged above the
 // suspicion (lines 23–25). With Mobility enabled, a relayed mistake about a
 // third process evicts that process from the known set (Algorithm 2).
+// Senders and entries outside [0, MaxID] are ignored (see MaxID).
 func (d *Detector) HandleQuery(q Query) Response {
-	if q.From != d.self {
+	if q.From != d.self && inRange(q.From) {
 		d.known.Add(q.From) // line 20
 	}
 
 	for _, e := range q.Suspected { // lines 21–31
-		if !d.fresher(e) {
+		if !inRange(e.ID) || !d.fresher(e) {
 			continue
 		}
 		if e.ID == d.self {
@@ -417,7 +428,7 @@ func (d *Detector) HandleQuery(q Query) Response {
 	}
 
 	for _, e := range q.Mistake { // lines 32–37
-		if !d.fresherOrEqual(e) {
+		if !inRange(e.ID) || !d.fresherOrEqual(e) {
 			continue
 		}
 		d.mistake.Add(e.ID, e.Tag)
@@ -438,14 +449,14 @@ func (d *Detector) fresher(e tagset.Entry) bool {
 	if d.cfg.DisableTags {
 		return true
 	}
-	return tagset.Fresher(d.suspected, d.mistake, e.ID, e.Tag)
+	return tagset.Fresher(&d.suspected, &d.mistake, e.ID, e.Tag)
 }
 
 func (d *Detector) fresherOrEqual(e tagset.Entry) bool {
 	if d.cfg.DisableTags {
 		return true
 	}
-	return tagset.FresherOrEqual(d.suspected, d.mistake, e.ID, e.Tag)
+	return tagset.FresherOrEqual(&d.suspected, &d.mistake, e.ID, e.Tag)
 }
 
 func (d *Detector) emit(e Event) {
@@ -459,8 +470,8 @@ func (d *Detector) emit(e Event) {
 // live on the Detector itself.
 type detectorState struct {
 	counter   tagset.Tag
-	suspected *tagset.Set
-	mistake   *tagset.Set
+	suspected tagset.Set
+	mistake   tagset.Set
 	known     ident.Set
 	round     uint64
 	roundOpen bool
@@ -496,5 +507,5 @@ func (d *Detector) restoreState(s detectorState) {
 // DebugString renders the full state for traces and test failures.
 func (d *Detector) DebugString() string {
 	return fmt.Sprintf("%v{counter=%d suspected=%v mistake=%v known=%v}",
-		d.self, uint64(d.counter), d.suspected, d.mistake, d.known)
+		d.self, uint64(d.counter), &d.suspected, &d.mistake, d.known)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +37,9 @@ func TestConfigValidate(t *testing.T) {
 		{"n too small", knownCfg(0, 1, 0), true},
 		{"self out of range", knownCfg(9, 4, 1), true},
 		{"self invalid", knownCfg(ident.Nil, 4, 1), true},
+		{"self at MaxID", Config{Self: MaxID, Membership: UnknownMembership, D: 4, F: 1}, false},
+		{"self above MaxID", Config{Self: MaxID + 1, Membership: UnknownMembership, D: 4, F: 1}, true},
+		{"n names ids above MaxID", knownCfg(0, int(MaxID)+2, 1), true},
 		{"valid unknown", Config{Self: 3, Membership: UnknownMembership, D: 4, F: 1}, false},
 		{"unknown density too small", Config{Self: 3, Membership: UnknownMembership, D: 2, F: 1}, true},
 		{"bad membership", Config{Self: 0, Membership: Membership(9), N: 4}, true},
@@ -638,6 +643,83 @@ func BenchmarkHandleQuery(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.HandleQuery(q)
+	}
+}
+
+type countingObserver struct{ n int }
+
+func (o *countingObserver) FDEvent(Event) { o.n++ }
+
+// TestHandleQueryAllocatesNothing pins task T2 on a populated detector to
+// zero allocations: merging is index and bit work on the dense tag sets.
+// Every call swaps the two lists and raises their tags, so each subject
+// moves between suspected and mistake, self is suspected and refutes, and
+// mobility evicts relayed mistakes.
+func TestHandleQueryAllocatesNothing(t *testing.T) {
+	obs := &countingObserver{}
+	d := mustDetector(t, Config{Self: 0, Membership: UnknownMembership, D: 7, F: 2, Mobility: true, Observer: obs})
+	q := Query{From: 1, Round: 1}
+	for i := 0; i < 200; i += 2 {
+		q.Suspected = append(q.Suspected, tagset.Entry{ID: ident.ID(i)})
+		q.Mistake = append(q.Mistake, tagset.Entry{ID: ident.ID(i + 1)})
+	}
+	step := func() {
+		q.Suspected, q.Mistake = q.Mistake, q.Suspected
+		for i := range q.Suspected {
+			q.Suspected[i].Tag += 2
+			q.Mistake[i].Tag += 2
+		}
+		d.HandleQuery(q)
+	}
+	step() // grow the sets to their working size
+	obs.n = 0
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("HandleQuery allocates %v times per call, want 0", allocs)
+	}
+	if obs.n == 0 {
+		t.Fatal("no suspicion transitions: the measured calls merged nothing")
+	}
+}
+
+// TestOutOfRangeIDsIgnored delivers a query and a response naming ids
+// above MaxID, as a forged network frame can. The detector ignores them, so
+// its memory does not grow with the id: the dense tag sets never see them.
+// Ids just above the bound are tried first, so a missing guard fails the
+// test before the 2^31−1 entry can allocate gigabytes.
+func TestOutOfRangeIDsIgnored(t *testing.T) {
+	obs := &countingObserver{}
+	d := mustDetector(t, Config{Self: 0, Membership: UnknownMembership, D: 4, F: 1, Observer: obs})
+	q := d.BeginRound()
+	unchanged := func(what string) {
+		t.Helper()
+		if obs.n != 0 || d.suspected.Len() != 0 || d.mistake.Len() != 0 || d.known.Len() != 1 || d.recFrom.Len() != 1 {
+			t.Fatalf("%s changed the state: %s", what, d.DebugString())
+		}
+	}
+	d.HandleQuery(Query{From: MaxID + 1, Round: 1,
+		Suspected: []tagset.Entry{{ID: MaxID + 1, Tag: 1}},
+		Mistake:   []tagset.Entry{{ID: MaxID + 2, Tag: 1}, {ID: ident.Nil, Tag: 1}}})
+	if d.HandleResponse(Response{From: MaxID + 1, Round: q.Round}) {
+		t.Fatal("response from MaxID+1 counted")
+	}
+	unchanged("ids just above MaxID")
+
+	huge := ident.ID(math.MaxInt32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.HandleQuery(Query{From: huge, Round: 1,
+		Suspected: []tagset.Entry{{ID: huge, Tag: 1}},
+		Mistake:   []tagset.Entry{{ID: huge - 1, Tag: 1}}})
+	d.HandleResponse(Response{From: huge, Round: q.Round})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a query naming id %d allocated %d bytes", huge, grew)
+	}
+	unchanged("id 2^31−1")
+
+	d.HandleQuery(Query{From: MaxID, Round: 1, Suspected: []tagset.Entry{{ID: MaxID - 1, Tag: 1}}})
+	if !d.known.Has(MaxID) || !d.suspected.Has(MaxID-1) || !d.HandleResponse(Response{From: MaxID, Round: q.Round}) {
+		t.Errorf("ids up to MaxID were not merged: %s", d.DebugString())
 	}
 }
 

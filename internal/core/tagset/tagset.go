@@ -9,11 +9,19 @@
 // the paper — a *mistake* (refutation) wins a tie against a *suspicion*.
 // These merge laws are what prevents stale suspicions from circulating
 // forever in the flooding scheme.
+//
+// A Set is dense: a presence bitset (ident.Set) plus a tag slice indexed by
+// id, so a lookup is an index and a bit test, and every walk runs in
+// ascending id order without sorting. It makes the same assumption as
+// ident.Set, that ids are small non-negative integers: memory grows with the
+// largest id ever added, not with the number of entries. Callers that take
+// ids from other processes must bound them first, as core.Detector does
+// with core.MaxID.
 package tagset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"asyncfd/internal/ident"
@@ -38,115 +46,79 @@ func (e Entry) String() string {
 // Set is a set of ⟨id, tag⟩ pairs with at most one entry per id. The zero
 // value is an empty set ready for use. Set is not safe for concurrent use.
 type Set struct {
-	m map[ident.ID]Tag
-}
-
-// New returns an empty set. Equivalent to the zero value; provided for
-// symmetry with sized constructors elsewhere.
-func New() *Set { return &Set{} }
-
-func (s *Set) ensure() {
-	if s.m == nil {
-		s.m = make(map[ident.ID]Tag)
-	}
+	present ident.Set
+	tags    []Tag // tags[id] is meaningful only while present has id
 }
 
 // Add implements the paper's Add(set, ⟨id, counter⟩): it inserts ⟨id, tag⟩,
 // replacing any existing entry for id regardless of its tag. Callers are
-// responsible for recency checks; see MergeSuspicion/MergeMistake for the
-// guarded variants used by task T2.
+// responsible for recency checks; see Fresher/FresherOrEqual for the
+// guards used by task T2.
 func (s *Set) Add(id ident.ID, tag Tag) {
 	if !id.Valid() {
 		return
 	}
-	s.ensure()
-	s.m[id] = tag
+	if i := int(id); i >= len(s.tags) {
+		s.tags = slices.Grow(s.tags, i+1-len(s.tags))[:i+1]
+	}
+	s.present.Add(id)
+	s.tags[id] = tag
 }
 
 // Remove deletes the entry for id, reporting whether one was present.
 func (s *Set) Remove(id ident.ID) bool {
-	if s.m == nil {
+	if !s.present.Has(id) {
 		return false
 	}
-	if _, ok := s.m[id]; !ok {
-		return false
-	}
-	delete(s.m, id)
+	s.present.Remove(id)
 	return true
 }
 
 // Get returns the tag associated with id.
 func (s *Set) Get(id ident.ID) (Tag, bool) {
-	if s.m == nil {
+	if !s.present.Has(id) {
 		return 0, false
 	}
-	t, ok := s.m[id]
-	return t, ok
+	return s.tags[id], true
 }
 
 // Has reports whether id has an entry.
-func (s *Set) Has(id ident.ID) bool {
-	_, ok := s.Get(id)
-	return ok
-}
+func (s *Set) Has(id ident.ID) bool { return s.present.Has(id) }
 
 // Len returns the number of entries.
-func (s *Set) Len() int { return len(s.m) }
+func (s *Set) Len() int { return s.present.Len() }
 
 // Clear removes all entries.
-func (s *Set) Clear() {
-	for id := range s.m {
-		delete(s.m, id)
-	}
-}
+func (s *Set) Clear() { s.present.Clear() }
 
 // Clone returns an independent copy.
-func (s *Set) Clone() *Set {
-	out := &Set{m: make(map[ident.ID]Tag, len(s.m))}
-	for id, t := range s.m {
-		out.m[id] = t
-	}
-	return out
+func (s *Set) Clone() Set {
+	return Set{present: s.present.Clone(), tags: slices.Clone(s.tags)}
 }
 
 // Entries returns the entries sorted by id (deterministic order for messages
 // and tests).
 func (s *Set) Entries() []Entry {
-	out := make([]Entry, 0, len(s.m))
-	for id, t := range s.m {
-		out = append(out, Entry{ID: id, Tag: t})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]Entry, 0, s.Len())
+	s.present.ForEach(func(id ident.ID) bool {
+		out = append(out, Entry{ID: id, Tag: s.tags[id]})
+		return true
+	})
 	return out
 }
 
 // IDs returns the ids present, sorted ascending.
-func (s *Set) IDs() []ident.ID {
-	out := make([]ident.ID, 0, len(s.m))
-	for id := range s.m {
-		out = append(out, id)
-	}
-	return ident.SortIDs(out)
-}
+func (s *Set) IDs() []ident.ID { return s.present.IDs() }
 
 // IDSet returns the ids present as a bitset.
-func (s *Set) IDSet() ident.Set {
-	var out ident.Set
-	for id := range s.m {
-		out.Add(id)
-	}
-	return out
-}
+func (s *Set) IDSet() ident.Set { return s.present.Clone() }
 
-// ForEach visits entries in unspecified order. If fn returns false the
+// ForEach visits entries in ascending id order. If fn returns false the
 // iteration stops.
 func (s *Set) ForEach(fn func(Entry) bool) {
-	//fdlint:allow maprange ForEach documents unspecified order; order-sensitive callers must use Entries()
-	for id, t := range s.m {
-		if !fn(Entry{ID: id, Tag: t}) {
-			return
-		}
-	}
+	s.present.ForEach(func(id ident.ID) bool {
+		return fn(Entry{ID: id, Tag: s.tags[id]})
+	})
 }
 
 // String renders the set with entries sorted by id.

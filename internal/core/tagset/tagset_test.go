@@ -1,7 +1,10 @@
 package tagset
 
 import (
+	"cmp"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +23,7 @@ func TestZeroValueUsable(t *testing.T) {
 }
 
 func TestAddReplaces(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(3, 10)
 	s.Add(3, 4) // paper's Add replaces unconditionally, even with older tag
 	if got, _ := s.Get(3); got != 4 {
@@ -32,7 +35,7 @@ func TestAddReplaces(t *testing.T) {
 }
 
 func TestAddInvalidIDNoop(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(ident.Nil, 1)
 	if s.Len() != 0 {
 		t.Error("Add(Nil) inserted an entry")
@@ -40,7 +43,7 @@ func TestAddInvalidIDNoop(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(1, 1)
 	if !s.Remove(1) {
 		t.Error("Remove existing = false")
@@ -55,7 +58,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestEntriesSorted(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(9, 1)
 	s.Add(2, 7)
 	s.Add(5, 3)
@@ -70,7 +73,7 @@ func TestEntriesSorted(t *testing.T) {
 }
 
 func TestIDSet(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(1, 1)
 	s.Add(64, 2)
 	bits := s.IDSet()
@@ -80,7 +83,7 @@ func TestIDSet(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(1, 1)
 	c := s.Clone()
 	c.Add(2, 2)
@@ -94,7 +97,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(1, 1)
 	s.Add(2, 2)
 	s.Clear()
@@ -108,7 +111,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestForEachStop(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(1, 1)
 	s.Add(2, 2)
 	s.Add(3, 3)
@@ -120,13 +123,13 @@ func TestForEachStop(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	s := New()
+	s := new(Set)
 	s.Add(10, 5)
 	s.Add(2, 7)
 	if got := s.String(); got != "{⟨p2, 7⟩, ⟨p10, 5⟩}" {
 		t.Errorf("String = %q", got)
 	}
-	if got := New().String(); got != "{}" {
+	if got := new(Set).String(); got != "{}" {
 		t.Errorf("empty String = %q", got)
 	}
 }
@@ -141,7 +144,7 @@ func TestEntryString(t *testing.T) {
 // --- Merge-guard semantics (Algorithm 1 lines 22 and 33) ---
 
 func TestFresherUnknownID(t *testing.T) {
-	susp, mist := New(), New()
+	susp, mist := new(Set), new(Set)
 	if !Fresher(susp, mist, 4, 0) {
 		t.Error("Fresher for unknown id = false; any info about an unknown id is fresh")
 	}
@@ -151,7 +154,7 @@ func TestFresherUnknownID(t *testing.T) {
 }
 
 func TestFresherStrict(t *testing.T) {
-	susp, mist := New(), New()
+	susp, mist := new(Set), new(Set)
 	susp.Add(4, 10)
 	tests := []struct {
 		incoming Tag
@@ -169,7 +172,7 @@ func TestFresherStrict(t *testing.T) {
 }
 
 func TestFresherOrEqualTieGoesToMistake(t *testing.T) {
-	susp, mist := New(), New()
+	susp, mist := new(Set), new(Set)
 	susp.Add(4, 10)
 	tests := []struct {
 		incoming Tag
@@ -187,7 +190,7 @@ func TestFresherOrEqualTieGoesToMistake(t *testing.T) {
 }
 
 func TestFresherAgainstMistakeSet(t *testing.T) {
-	susp, mist := New(), New()
+	susp, mist := new(Set), new(Set)
 	mist.Add(4, 10)
 	if Fresher(susp, mist, 4, 10) {
 		t.Error("suspicion with equal tag beat an existing mistake")
@@ -205,7 +208,7 @@ func TestFresherAgainstMistakeSet(t *testing.T) {
 
 func TestCurrentTagBothSets(t *testing.T) {
 	// Defensive path: if an id were in both sets, the larger tag governs.
-	susp, mist := New(), New()
+	susp, mist := new(Set), new(Set)
 	susp.Add(4, 12)
 	mist.Add(4, 8)
 	if Fresher(susp, mist, 4, 12) {
@@ -214,7 +217,7 @@ func TestCurrentTagBothSets(t *testing.T) {
 	if !Fresher(susp, mist, 4, 13) {
 		t.Error("incoming above max tag rejected")
 	}
-	susp2, mist2 := New(), New()
+	susp2, mist2 := new(Set), new(Set)
 	susp2.Add(4, 8)
 	mist2.Add(4, 12)
 	if Fresher(susp2, mist2, 4, 9) {
@@ -224,31 +227,65 @@ func TestCurrentTagBothSets(t *testing.T) {
 
 // --- Property tests ---
 
+// TestQuickModelConformance drives the dense Set and a map model with the
+// same random Add/Remove/Clone/Clear operations, probing Get and Has after
+// every step and comparing every read at the end. Ids straddle the first
+// bitset word boundary, reach past 4096, and include invalid (negative)
+// ids, which every operation must ignore. A clone is mutated after it is
+// taken: neither side may see the other's later writes.
 func TestQuickModelConformance(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := New()
-		model := make(map[ident.ID]Tag)
-		for i := 0; i < 300; i++ {
-			id := ident.ID(r.Intn(40))
-			switch r.Intn(3) {
-			case 0, 1:
-				tag := Tag(r.Intn(100))
-				s.Add(id, tag)
-				model[id] = tag
+		draw := func() ident.ID {
+			switch r.Intn(8) {
+			case 0:
+				return ident.ID(-1 - r.Intn(3))
+			case 1:
+				return ident.ID(4096 + r.Intn(200))
 			case 2:
-				s.Remove(id)
+				return ident.ID(60 + r.Intn(10))
+			default:
+				return ident.ID(r.Intn(130))
+			}
+		}
+		var s, clone Set
+		model, cloneModel := mapModel{}, mapModel{}
+		for step := 0; step < 300; step++ {
+			id := draw()
+			switch op := r.Intn(20); {
+			case op < 10:
+				tag := Tag(r.Uint64() >> r.Intn(64))
+				s.Add(id, tag)
+				if id.Valid() {
+					model[id] = tag
+				}
+			case op < 17:
+				_, had := model[id]
+				if s.Remove(id) != had {
+					t.Fatalf("seed %d step %d: Remove(%v) = %v, want %v", seed, step, id, !had, had)
+				}
 				delete(model, id)
+			case op < 19:
+				clone, cloneModel = s.Clone(), maps.Clone(model)
+				clone.Add(id, 1)
+				if id.Valid() {
+					cloneModel[id] = 1
+				}
+				gone := draw()
+				clone.Remove(gone)
+				delete(cloneModel, gone)
+			default:
+				s.Clear()
+				clear(model)
+			}
+			probe := draw()
+			want, wok := model[probe]
+			if got, ok := s.Get(probe); got != want || ok != wok || s.Has(probe) != wok {
+				t.Fatalf("seed %d step %d: Get(%v) = %d,%v, want %d,%v", seed, step, probe, got, ok, want, wok)
 			}
 		}
-		if s.Len() != len(model) {
-			return false
-		}
-		for id, tag := range model {
-			if got, ok := s.Get(id); !ok || got != tag {
-				return false
-			}
-		}
+		checkAgainstModel(t, "set", &s, model)
+		checkAgainstModel(t, "clone", &clone, cloneModel)
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -263,7 +300,7 @@ func TestQuickFresherMonotone(t *testing.T) {
 			a, b = b, a
 		}
 		r := rand.New(rand.NewSource(seed))
-		susp, mist := New(), New()
+		susp, mist := new(Set), new(Set)
 		id := ident.ID(1)
 		if r.Intn(2) == 0 {
 			susp.Add(id, Tag(r.Intn(1000)))
@@ -285,7 +322,7 @@ func TestQuickFresherMonotone(t *testing.T) {
 
 func TestQuickFresherImpliesFresherOrEqual(t *testing.T) {
 	f := func(hasSusp bool, cur uint16, incoming uint16) bool {
-		susp, mist := New(), New()
+		susp, mist := new(Set), new(Set)
 		if hasSusp {
 			susp.Add(2, Tag(cur))
 		} else {
@@ -301,8 +338,51 @@ func TestQuickFresherImpliesFresherOrEqual(t *testing.T) {
 	}
 }
 
+// mapModel is the reference the dense Set is checked against: a plain map,
+// walked in sorted id order.
+type mapModel map[ident.ID]Tag
+
+func (m mapModel) entries() []Entry {
+	out := make([]Entry, 0, len(m))
+	for id, t := range m {
+		out = append(out, Entry{ID: id, Tag: t})
+	}
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// checkAgainstModel compares every read of s with the model.
+func checkAgainstModel(t *testing.T, what string, s *Set, m mapModel) {
+	t.Helper()
+	want := m.entries()
+	if got := s.Entries(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Entries = %v, want %v", what, got, want)
+	}
+	var walked []Entry
+	s.ForEach(func(e Entry) bool {
+		walked = append(walked, e)
+		return true
+	})
+	if !slices.Equal(walked, want) {
+		t.Fatalf("%s: ForEach visited %v, want %v", what, walked, want)
+	}
+	ids := make([]ident.ID, len(want))
+	for i, e := range want {
+		ids[i] = e.ID
+	}
+	if got := s.IDs(); !slices.Equal(got, ids) {
+		t.Fatalf("%s: IDs = %v, want %v", what, got, ids)
+	}
+	if got := s.IDSet(); !got.Equal(ident.SetOf(ids...)) {
+		t.Fatalf("%s: IDSet = %v, want %v", what, got, ids)
+	}
+	if s.Len() != len(m) {
+		t.Fatalf("%s: Len = %d, want %d", what, s.Len(), len(m))
+	}
+}
+
 func BenchmarkAddGet(b *testing.B) {
-	s := New()
+	s := new(Set)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id := ident.ID(i % 128)
@@ -312,7 +392,7 @@ func BenchmarkAddGet(b *testing.B) {
 }
 
 func BenchmarkEntries(b *testing.B) {
-	s := New()
+	s := new(Set)
 	for i := 0; i < 64; i++ {
 		s.Add(ident.ID(i), Tag(i))
 	}

@@ -11,7 +11,7 @@ package ident
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -69,9 +69,12 @@ func SetOf(ids ...ID) Set {
 	return s
 }
 
+// grow extends the set to cover word in one step, zeroing the words it
+// exposes.
 func (s *Set) grow(word int) {
-	for len(s.words) <= word {
-		s.words = append(s.words, 0)
+	if n := len(s.words); word >= n {
+		s.words = slices.Grow(s.words, word+1-n)[:word+1]
+		clear(s.words[n:])
 	}
 }
 
@@ -242,6 +245,6 @@ func (s Set) String() string {
 // SortIDs sorts a slice of identities in ascending order, in place, and
 // returns it for convenience.
 func SortIDs(ids []ID) []ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

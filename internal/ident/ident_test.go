@@ -386,3 +386,25 @@ func BenchmarkSetForEach(b *testing.B) {
 		s.ForEach(func(ID) bool { n++; return true })
 	}
 }
+
+// TestSetGrowsInOneStep pins growth to a single step: adding an id far past
+// the end of an empty set allocates once (twice under the race detector,
+// which does not elide slices.Grow's temporary), where growing a word at a
+// time allocated seven times. Words exposed from spare capacity read as
+// empty, whatever the backing array held.
+func TestSetGrowsInOneStep(t *testing.T) {
+	var grown Set
+	allocs := testing.AllocsPerRun(20, func() {
+		grown = Set{}
+		grown.Add(4095)
+	})
+	if allocs > 2 {
+		t.Errorf("Add(4095) to an empty set allocates %v times, want one step", allocs)
+	}
+	backing := []uint64{1 << 3, ^uint64(0), ^uint64(0)}
+	s := Set{words: backing[:1]}
+	s.Add(130)
+	if got := s.IDs(); len(got) != 2 || got[0] != 3 || got[1] != 130 {
+		t.Errorf("IDs after growth = %v, want [p3 p130]", got)
+	}
+}

@@ -72,3 +72,24 @@ func TestDenseMapForEachOrderAndStop(t *testing.T) {
 		t.Fatalf("ForEach ignored early stop: visited %d", n)
 	}
 }
+
+// TestDenseMapAscendingPutsGrowAmortized bounds the reallocations of the
+// backing slice when every dense ID is Put in ascending order, as a service
+// registering its peers does: growth is amortized, not one slot per Put.
+func TestDenseMapAscendingPutsGrowAmortized(t *testing.T) {
+	var m DenseMap[*struct{}]
+	v := &struct{}{}
+	grows, lastCap := 0, 0
+	for id := ident.ID(0); id < denseLimit; id++ {
+		m.Put(id, v)
+		if c := cap(m.dense); c != lastCap {
+			grows, lastCap = grows+1, c
+		}
+	}
+	if m.Len() != denseLimit || len(m.sparse) != 0 {
+		t.Fatalf("Len = %d with %d sparse entries, want %d dense", m.Len(), len(m.sparse), denseLimit)
+	}
+	if grows > 64 {
+		t.Errorf("%d ascending Puts reallocated %d times, want at most 64", denseLimit, grows)
+	}
+}

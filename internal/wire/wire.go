@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"asyncfd/internal/chen"
 	"asyncfd/internal/core"
@@ -232,11 +233,42 @@ func Decode(data []byte) (any, error) {
 }
 
 // Size returns the encoded size of payload, or 0 for unsupported types
-// (convenient as a netsim.Config.SizeOf hook).
+// (convenient as a netsim.Config.SizeOf hook). It sums the field lengths
+// AppendEncode would write, without encoding or allocating.
 func Size(payload any) int {
-	b, err := Encode(payload)
-	if err != nil {
+	switch m := payload.(type) {
+	case core.Query:
+		return 1 + uvarintLen(uint64(m.From)) + uvarintLen(m.Round) +
+			entriesSize(m.Suspected) + entriesSize(m.Mistake)
+	case core.Response:
+		return 1 + uvarintLen(uint64(m.From)) + uvarintLen(m.Round)
+	case heartbeat.Message:
+		return 1 + uvarintLen(uint64(m.From)) + uvarintLen(m.Seq)
+	case phiaccrual.Message:
+		return 1 + uvarintLen(uint64(m.From)) + uvarintLen(m.Seq)
+	case chen.Message:
+		return 1 + uvarintLen(uint64(m.From)) + uvarintLen(m.Seq)
+	case heartbeat.VectorMessage:
+		n := 1 + uvarintLen(uint64(m.From)) + uvarintLen(uint64(len(m.Vector)))
+		for _, v := range m.Vector {
+			n += uvarintLen(v)
+		}
+		return n
+	default:
 		return 0
 	}
-	return len(b)
+}
+
+func entriesSize(entries []tagset.Entry) int {
+	n := uvarintLen(uint64(len(entries)))
+	for _, e := range entries {
+		n += uvarintLen(uint64(e.ID)) + uvarintLen(uint64(e.Tag))
+	}
+	return n
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v: one
+// per started group of seven bits, and one for zero.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }

@@ -2,15 +2,18 @@ package wire
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"asyncfd/internal/chen"
 	"asyncfd/internal/core"
 	"asyncfd/internal/core/tagset"
 	"asyncfd/internal/heartbeat"
 	"asyncfd/internal/ident"
+	"asyncfd/internal/phiaccrual"
 )
 
 func roundTrip(t *testing.T, payload any) any {
@@ -116,13 +119,48 @@ func TestDecodeEntryCountLies(t *testing.T) {
 }
 
 func TestSizeMatchesEncoding(t *testing.T) {
-	q := core.Query{From: 3, Round: 9, Suspected: []tagset.Entry{{ID: 1, Tag: 2}}}
-	b, err := Encode(q)
-	if err != nil {
-		t.Fatal(err)
+	const max = math.MaxUint64
+	payloads := []any{
+		core.Query{},
+		core.Query{From: 3, Round: 9, Suspected: []tagset.Entry{{ID: 1, Tag: 2}}},
+		core.Query{
+			From:      ident.Nil,
+			Round:     max,
+			Suspected: []tagset.Entry{{ID: 127, Tag: 127}, {ID: 128, Tag: 128}, {ID: math.MaxInt32, Tag: max}},
+			Mistake:   []tagset.Entry{{ID: -7, Tag: max}, {ID: 0, Tag: 0}},
+		},
+		core.Response{From: 12, Round: 1 << 50},
+		core.Response{From: math.MinInt32, Round: max},
+		heartbeat.Message{From: 7, Seq: max},
+		heartbeat.Message{From: ident.Nil},
+		phiaccrual.Message{From: 16384, Seq: 1 << 21},
+		phiaccrual.Message{From: -2, Seq: max},
+		chen.Message{From: 1, Seq: 0},
+		chen.Message{From: -1, Seq: max},
+		heartbeat.VectorMessage{From: 2},
+		heartbeat.VectorMessage{From: -3, Vector: []uint64{0, 1, 127, 128, 1 << 35, max}},
 	}
-	if Size(q) != len(b) {
-		t.Errorf("Size = %d, want %d", Size(q), len(b))
+	for _, p := range payloads {
+		b, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Size(p); got != len(b) {
+			t.Errorf("Size(%T%+v) = %d, want len(Encode) = %d", p, p, got, len(b))
+		}
+	}
+}
+
+// TestSizeAllocatesNothing pins Size as a length walk: netsim calls it once
+// per sent message, so it must not encode into a fresh buffer.
+func TestSizeAllocatesNothing(t *testing.T) {
+	q := core.Query{From: 3, Round: 9}
+	for i := 0; i < 16; i++ {
+		q.Suspected = append(q.Suspected, tagset.Entry{ID: ident.ID(i), Tag: tagset.Tag(i * 7)})
+	}
+	var p any = q // box once, outside the measured call
+	if allocs := testing.AllocsPerRun(100, func() { Size(p) }); allocs != 0 {
+		t.Errorf("Size(Query) allocates %v times per call, want 0", allocs)
 	}
 }
 
