@@ -12,8 +12,9 @@
 package faults
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"asyncfd/internal/des"
@@ -117,7 +118,7 @@ func Uniform(r *rand.Rand, candidates []ident.ID, count int, start, end time.Dur
 		}
 		plan = plan.CrashAt(candidates[perm[i]], at)
 	}
-	sort.SliceStable(plan, func(i, j int) bool { return plan[i].At < plan[j].At })
+	slices.SortStableFunc(plan, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	return plan
 }
 
@@ -135,7 +136,7 @@ func (s Schedule) Apply(sim *des.Simulator, net *netsim.Network) *qos.GroundTrut
 // fresh or persisted state.
 func (s Schedule) ApplyFunc(sim *des.Simulator, net *netsim.Network, onRecover func(id ident.ID, fresh bool)) *qos.GroundTruth {
 	ordered := append(Schedule(nil), s...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
+	slices.SortStableFunc(ordered, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	truth := &qos.GroundTruth{}
 	for _, e := range ordered {
 		e := e

@@ -15,10 +15,14 @@
 // Both variants need the timing assumption the time-free detector avoids: Θ
 // must dominate the (unknown) end-to-end delay, or false suspicions never
 // stop.
+//
+// A Node's state is O(degree): one entry per monitored peer, found by binary
+// search over the sorted peer IDs, whatever the largest ID in the system.
 package heartbeat
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,22 +65,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// peerState holds the per-peer suspicion timeout. It is a pointer target so
-// the hot re-arm path (every heartbeat delivery) is a direct slice index plus
-// a field write, with no map operations.
+// peerState holds one peer's suspicion timeout and the expiry callback that
+// fires it, built once so the hot re-arm path (every heartbeat delivery)
+// allocates nothing.
 type peerState struct {
 	expiry node.Timer
+	fire   func()
 }
 
 // Node is the direct all-to-all heartbeat detector. It is safe for
 // concurrent use.
 type Node struct {
 	mu        sync.Mutex
-	env       node.Env //fdlint:allow clonefields immutable wiring, set once at construction
-	cfg       Config   //fdlint:allow clonefields immutable config, set once at construction
+	env       node.Env   //fdlint:allow clonefields immutable wiring, set once at construction
+	cfg       Config     //fdlint:allow clonefields immutable config, set once at construction
+	ids       []ident.ID //fdlint:allow clonefields immutable ascending peer IDs, set once at construction
+	tick      func()     //fdlint:allow clonefields immutable heartbeat callback, built once at construction
 	seq       uint64
 	suspected ident.Set
-	peers     node.DenseMap[*peerState]
+	peers     []peerState // peers[i] is the state of peer ids[i]
 	stopped   bool
 	beat      node.Timer
 }
@@ -91,13 +98,25 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Peers = cfg.Peers.Clone()
-	cfg.Peers.Remove(cfg.Self)
-	n := &Node{env: env, cfg: cfg}
-	cfg.Peers.ForEach(func(p ident.ID) bool {
-		n.peers.Put(p, &peerState{})
-		return true
-	})
+	ids := slices.DeleteFunc(cfg.Peers.IDs(), func(p ident.ID) bool { return p == cfg.Self })
+	cfg.Peers = ident.Set{} // ids holds the peers from here on
+	n := &Node{env: env, cfg: cfg, ids: ids, peers: make([]peerState, len(ids))}
+	n.tick = func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.tickLocked()
+	}
+	for i, p := range ids {
+		n.peers[i].fire = func() {
+			n.mu.Lock()
+			defer n.mu.Unlock()
+			if n.stopped || n.suspected.Has(p) {
+				return
+			}
+			n.suspected.Add(p)
+			n.emitLocked(p, true)
+		}
+	}
 	return n, nil
 }
 
@@ -107,10 +126,9 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 func (n *Node) Start() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg.Peers.ForEach(func(p ident.ID) bool {
-		n.armLocked(p)
-		return true
-	})
+	for i := range n.peers {
+		n.armLocked(&n.peers[i])
+	}
 	n.tickLocked()
 }
 
@@ -123,15 +141,7 @@ func (n *Node) Start() {
 func (n *Node) Restart(fresh bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.beat != nil {
-		n.beat.Stop()
-	}
-	n.peers.ForEach(func(_ ident.ID, st *peerState) bool {
-		if st.expiry != nil {
-			st.expiry.Stop()
-		}
-		return true
-	})
+	n.stopTimersLocked()
 	n.stopped = false
 	if fresh {
 		n.suspected.ForEach(func(p ident.ID) bool {
@@ -141,10 +151,9 @@ func (n *Node) Restart(fresh bool) {
 		n.suspected.Clear()
 		n.seq = 0
 	}
-	n.cfg.Peers.ForEach(func(p ident.ID) bool {
-		n.armLocked(p)
-		return true
-	})
+	for i := range n.peers {
+		n.armLocked(&n.peers[i])
+	}
 	n.tickLocked()
 }
 
@@ -153,15 +162,19 @@ func (n *Node) Stop() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stopped = true
+	n.stopTimersLocked()
+}
+
+// stopTimersLocked cancels the heartbeat timer, then each peer's expiry.
+func (n *Node) stopTimersLocked() {
 	if n.beat != nil {
 		n.beat.Stop()
 	}
-	n.peers.ForEach(func(_ ident.ID, st *peerState) bool {
-		if st.expiry != nil {
-			st.expiry.Stop()
+	for i := range n.peers {
+		if t := n.peers[i].expiry; t != nil {
+			t.Stop()
 		}
-		return true
-	})
+	}
 }
 
 func (n *Node) tickLocked() {
@@ -170,28 +183,15 @@ func (n *Node) tickLocked() {
 	}
 	n.seq++
 	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
-	n.beat = n.env.After(n.cfg.Interval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.tickLocked()
-	})
+	n.beat = n.env.After(n.cfg.Interval, n.tick)
 }
 
-// armLocked (re)arms the expiry timer for peer p.
-func (n *Node) armLocked(p ident.ID) {
-	st := n.peers.Get(p)
+// armLocked (re)arms the expiry timer of one peer.
+func (n *Node) armLocked(st *peerState) {
 	if st.expiry != nil {
 		st.expiry.Stop()
 	}
-	st.expiry = n.env.After(n.cfg.Timeout, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.stopped || n.suspected.Has(p) {
-			return
-		}
-		n.suspected.Add(p)
-		n.emitLocked(p, true)
-	})
+	st.expiry = n.env.After(n.cfg.Timeout, st.fire)
 }
 
 // Deliver implements node.Handler.
@@ -201,14 +201,15 @@ func (n *Node) Deliver(from ident.ID, payload any) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.stopped || !n.cfg.Peers.Has(from) {
+	i, ok := slices.BinarySearch(n.ids, from)
+	if n.stopped || !ok {
 		return
 	}
 	if n.suspected.Has(from) {
 		n.suspected.Remove(from)
 		n.emitLocked(from, false)
 	}
-	n.armLocked(from)
+	n.armLocked(&n.peers[i])
 }
 
 func (n *Node) emitLocked(subject ident.ID, suspected bool) {
@@ -225,7 +226,7 @@ func (n *Node) emitLocked(subject ident.ID, suspected bool) {
 type snapshot struct {
 	seq       uint64
 	suspected ident.Set
-	expiry    map[ident.ID]node.Timer
+	expiry    []node.Timer // by peer index, like Node.peers
 	stopped   bool
 	beat      node.Timer
 }
@@ -234,13 +235,10 @@ type snapshot struct {
 func (n *Node) Snapshot() any {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	expiry := make(map[ident.ID]node.Timer, n.peers.Len())
-	n.peers.ForEach(func(p ident.ID, st *peerState) bool {
-		if st.expiry != nil {
-			expiry[p] = st.expiry
-		}
-		return true
-	})
+	expiry := make([]node.Timer, len(n.peers))
+	for i := range n.peers {
+		expiry[i] = n.peers[i].expiry
+	}
 	return &snapshot{
 		seq:       n.seq,
 		suspected: n.suspected.Clone(),
@@ -251,17 +249,16 @@ func (n *Node) Snapshot() any {
 }
 
 // Restore implements node.Cloneable: writes each saved timer handle back into
-// the live peerState (clearing peers the checkpoint had no timer for).
+// the live peerState (nil for peers the checkpoint had no timer for).
 func (n *Node) Restore(snap any) {
 	s := snap.(*snapshot)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.seq = s.seq
 	n.suspected = s.suspected.Clone()
-	n.peers.ForEach(func(p ident.ID, st *peerState) bool {
-		st.expiry = s.expiry[p]
-		return true
-	})
+	for i := range n.peers {
+		n.peers[i].expiry = s.expiry[i]
+	}
 	n.stopped = s.stopped
 	n.beat = s.beat
 }

@@ -1,12 +1,14 @@
 package heartbeat
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/node"
 	"asyncfd/internal/trace"
 )
 
@@ -402,5 +404,136 @@ func TestRestartPersistedKeepsSuspicions(t *testing.T) {
 	c.sim.RunUntil(7100 * time.Millisecond)
 	if !c.nodes[0].IsSuspected(1) {
 		t.Error("persisted restart lost the suspicion of the dead p1")
+	}
+}
+
+// stubEnv is a node.Env that schedules and sends nothing: After hands back
+// one shared timer, so what a test measures is the node's own allocation.
+type stubEnv struct{}
+
+type stubTimer struct{}
+
+func (stubTimer) Stop() bool { return false }
+
+var sharedTimer node.Timer = stubTimer{}
+
+func (stubEnv) Self() ident.ID                         { return 0 }
+func (stubEnv) Now() time.Duration                     { return 0 }
+func (stubEnv) After(time.Duration, func()) node.Timer { return sharedTimer }
+func (stubEnv) Send(ident.ID, any)                     {}
+func (stubEnv) Broadcast(any)                          {}
+
+func newStubNode(tb testing.TB, peers ident.Set) *Node {
+	tb.Helper()
+	nd, err := NewNode(stubEnv{}, Config{Self: 0, Peers: peers, Interval: time.Second, Timeout: 2 * time.Second})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return nd
+}
+
+// TestNewNodeStateIsODegree pins a node's memory to its peer count: a node
+// with a single peer must not allocate a table sized by that peer's ID (one
+// pointer per smaller ID would take ~128 KB at 16383 and ~480 KB at 60000).
+func TestNewNodeStateIsODegree(t *testing.T) {
+	const runs = 10
+	for _, far := range []ident.ID{16383, 60000} {
+		peers := ident.SetOf(0, far)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			newStubNode(t, peers)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<10 {
+			t.Errorf("NewNode with peers {0, %d} allocates %d B, want < 16 KiB", far, per)
+		}
+	}
+}
+
+// TestDeliverAllocatesNothing pins the per-heartbeat path: the peer lookup
+// and the re-arm reuse the callback built in NewNode.
+func TestDeliverAllocatesNothing(t *testing.T) {
+	nd := newStubNode(t, ident.FullSet(8))
+	nd.Start()
+	var msg any = Message{From: 3, Seq: 1}
+	if a := testing.AllocsPerRun(100, func() { nd.Deliver(3, msg) }); a != 0 {
+		t.Errorf("Deliver allocates %v times per call, want 0", a)
+	}
+}
+
+// BenchmarkHeartbeatDeliver times one heartbeat delivery (peer lookup,
+// suspicion check, timer re-arm) on a node with 64 peers.
+func BenchmarkHeartbeatDeliver(b *testing.B) {
+	const peers = 64
+	nd := newStubNode(b, ident.FullSet(peers+1))
+	nd.Start()
+	msgs := make([]any, peers)
+	for i := range msgs {
+		msgs[i] = Message{From: ident.ID(i + 1), Seq: 1}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % peers
+		nd.Deliver(ident.ID(p+1), msgs[p])
+	}
+}
+
+// TestSnapshotRestoreRewindsDivergence checkpoints a running cluster (kernel,
+// network and every node), lets it diverge — a crash, so expiry timers fire
+// and suspicions are raised, while the survivors' heartbeats keep re-arming
+// theirs — and restores it. From then on it must behave exactly like a
+// cluster that never diverged: the same suspicion sets and the same trace.
+func TestSnapshotRestoreRewindsDivergence(t *testing.T) {
+	const checkpoint = 3 * time.Second
+	run := func(diverge bool) (*hbCluster, []trace.Event) {
+		c := newHBCluster(t, 4, netsim.Constant{D: 5 * time.Millisecond}, time.Second, 2500*time.Millisecond)
+		c.sim.RunUntil(checkpoint)
+		var skip [2]int // trace events recorded while diverged
+		if diverge {
+			simSnap, netSnap := c.sim.Snapshot(), c.net.Snapshot()
+			snaps := make([]any, len(c.nodes))
+			for i, nd := range c.nodes {
+				snaps[i] = nd.Snapshot()
+			}
+			skip[0] = c.log.Len()
+			c.net.Crash(3)
+			c.sim.RunUntil(checkpoint + 6*time.Second)
+			if !c.nodes[0].IsSuspected(3) {
+				t.Fatal("divergence raised no suspicion; scenario too weak")
+			}
+			skip[1] = c.log.Len()
+			c.sim.Restore(simSnap)
+			c.net.Restore(netSnap)
+			for i, nd := range c.nodes {
+				nd.Restore(snaps[i])
+			}
+			if c.nodes[0].IsSuspected(3) {
+				t.Fatal("Restore kept a suspicion raised after the checkpoint")
+			}
+		}
+		c.sim.At(6*time.Second, func() { c.net.Crash(2) })
+		c.sim.RunUntil(15 * time.Second)
+		events := c.log.Events()
+		return c, append(events[:skip[0]:skip[0]], events[skip[1]:]...)
+	}
+	want, wantTrace := run(false)
+	got, gotTrace := run(true)
+	if len(wantTrace) == 0 {
+		t.Fatal("reference run recorded no suspicion; scenario too weak")
+	}
+	for i := range want.nodes {
+		if g, w := got.nodes[i].Suspects(), want.nodes[i].Suspects(); !g.Equal(w) {
+			t.Errorf("node %d suspects %v after restore, never-diverged node %v", i, g, w)
+		}
+	}
+	if len(gotTrace) != len(wantTrace) {
+		t.Fatalf("trace after restore has %d events, never-diverged %d", len(gotTrace), len(wantTrace))
+	}
+	for i := range wantTrace {
+		if gotTrace[i] != wantTrace[i] {
+			t.Fatalf("trace event %d after restore = %+v, never-diverged %+v", i, gotTrace[i], wantTrace[i])
+		}
 	}
 }

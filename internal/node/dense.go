@@ -19,6 +19,11 @@ const denseLimit = 1 << 14
 // map hashing was a measurable slice of large-n sweep time. The zero value
 // is ready to use.
 //
+// Memory is O(largest ID) per instance, however few entries it holds, so a
+// DenseMap fits tables keyed by a whole dense ID space (liveshard's peer
+// table, the full-mesh detectors' per-peer state), not per-node neighbour
+// tables on a sparse topology, whose size should follow the degree.
+//
 // The zero value of T means "absent": Get returns it for missing keys, and
 // callers must not store it (detectors store non-nil pointers or timer
 // handles, so the constraint costs nothing).

@@ -1,7 +1,8 @@
 package qos
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,6 +16,12 @@ type pairKey uint64
 
 func key(observer, subject ident.ID) pairKey {
 	return pairKey(uint64(uint32(observer))<<32 | uint64(uint32(subject)))
+}
+
+// among returns the pair's subject and whether it pairs distinct members.
+func (k pairKey) among(members ident.Set) (ident.ID, bool) {
+	obs, subj := ident.ID(int32(k>>32)), ident.ID(int32(k))
+	return subj, obs != subj && members.Has(obs) && members.Has(subj)
 }
 
 // Judge turns a suspicion trace into QoS metrics with a single accumulator
@@ -39,6 +46,9 @@ type Judge struct {
 	// index maps each observed (observer, subject) pair to its suspicion
 	// episodes in time order; open ⇔ last episode has end == -1.
 	index map[pairKey][]episode
+	// pairs lists index's keys in first-seen order: the finalizers over all
+	// member pairs walk it, in O(episodes) and deterministically.
+	pairs []pairKey
 }
 
 var _ fd.SuspicionSink = (*Judge)(nil)
@@ -88,15 +98,19 @@ func (j *Judge) build() {
 		return
 	}
 	if !j.sorted {
-		sort.SliceStable(j.events, func(a, b int) bool { return j.events[a].At < j.events[b].At })
+		slices.SortStableFunc(j.events, func(a, b trace.Event) int { return cmp.Compare(a.At, b.At) })
 		j.sorted = true
 	}
 	j.index = make(map[pairKey][]episode)
+	j.pairs = j.pairs[:0]
 	for _, e := range j.events {
 		k := key(e.Observer, e.Subject)
 		eps := j.index[k]
 		open := len(eps) > 0 && eps[len(eps)-1].end == -1
 		if e.Suspected {
+			if len(eps) == 0 {
+				j.pairs = append(j.pairs, k)
+			}
 			if !open {
 				j.index[k] = append(eps, episode{start: e.At, end: -1})
 			}
@@ -105,13 +119,6 @@ func (j *Judge) build() {
 		}
 	}
 	j.dirty = false
-}
-
-// pairEpisodes returns the suspicion episodes of (observer, subject) in time
-// order, building the index if needed.
-func (j *Judge) pairEpisodes(observer, subject ident.ID) []episode {
-	j.build()
-	return j.index[key(observer, subject)]
 }
 
 // SuspectedInTail returns the set of subjects suspected by any observer at or
@@ -123,12 +130,12 @@ func (j *Judge) pairEpisodes(observer, subject ident.ID) []episode {
 func (j *Judge) SuspectedInTail(cut time.Duration) ident.Set {
 	j.build()
 	var out ident.Set
-	for k, eps := range j.index {
+	for _, k := range j.pairs {
 		subject := ident.ID(uint32(k))
 		if out.Has(subject) {
 			continue
 		}
-		for _, ep := range eps {
+		for _, ep := range j.index[k] {
 			if ep.start >= cut || ep.end == -1 || ep.end > cut {
 				out.Add(subject)
 				break
@@ -168,43 +175,40 @@ func (j *Judge) DetectionTimes(truth *GroundTruth, subject ident.ID, observers i
 	return acc.result()
 }
 
-// Mistakes scans all (observer, subject) pairs among members and counts
+// Mistakes counts, over the (observer, subject) pairs among members, the
 // suspicion episodes of subjects that had not crashed when the episode
-// began.
+// began. The rate divides by every ordered pair of distinct members.
 func (j *Judge) Mistakes(truth *GroundTruth, members ident.Set, horizon time.Duration) MistakeStats {
 	j.build()
 	var stats MistakeStats
 	var total time.Duration
-	pairs := 0
-	members.ForEach(func(obs ident.ID) bool {
-		members.ForEach(func(subj ident.ID) bool {
-			if obs == subj {
-				return true
+	for _, k := range j.pairs {
+		subj, ok := k.among(members)
+		if !ok {
+			continue
+		}
+		for _, ep := range j.index[k] {
+			if truth.CrashedBy(subj, ep.start) {
+				continue // true suspicion
 			}
-			pairs++
-			for _, ep := range j.index[key(obs, subj)] {
-				if truth.CrashedBy(subj, ep.start) {
-					continue // true suspicion
+			if ep.end == -1 {
+				// Open at the cut: a mistake only if the subject is up at
+				// the cut (otherwise it became a true detection).
+				if !truth.DownAt(subj, horizon) {
+					stats.Unresolved++
 				}
-				if ep.end == -1 {
-					// Open at the cut: a mistake only if the subject is up
-					// at the cut (otherwise it became a true detection).
-					if !truth.DownAt(subj, horizon) {
-						stats.Unresolved++
-					}
-					continue
-				}
-				stats.Count++
-				d := ep.end - ep.start
-				total += d
-				if d > stats.MaxDuration {
-					stats.MaxDuration = d
-				}
+				continue
 			}
-			return true
-		})
-		return true
-	})
+			stats.Count++
+			d := ep.end - ep.start
+			total += d
+			if d > stats.MaxDuration {
+				stats.MaxDuration = d
+			}
+		}
+	}
+	m := members.Len()
+	pairs := m * (m - 1)
 	if stats.Count > 0 {
 		stats.AvgDuration = total / time.Duration(stats.Count)
 	}
@@ -350,34 +354,31 @@ func (j *Judge) TrustRestorationTimes(truth *GroundTruth, subject ident.ID, obse
 func (j *Judge) Reconvergence(truth *GroundTruth, members ident.Set, from time.Duration) (settle time.Duration, clean bool) {
 	j.build()
 	clean = true
-	members.ForEach(func(obs ident.ID) bool {
-		members.ForEach(func(subj ident.ID) bool {
-			if obs == subj {
-				return true
+	for _, k := range j.pairs {
+		subj, ok := k.among(members)
+		if !ok {
+			continue
+		}
+		for _, ep := range j.index[k] {
+			activeAt := ep.start
+			if activeAt < from {
+				if ep.end != -1 && ep.end <= from {
+					continue // over before `from`
+				}
+				activeAt = from
 			}
-			for _, ep := range j.index[key(obs, subj)] {
-				activeAt := ep.start
-				if activeAt < from {
-					if ep.end != -1 && ep.end <= from {
-						continue // over before `from`
-					}
-					activeAt = from
-				}
-				if truth.DownAt(subj, activeAt) {
-					continue // justified suspicion
-				}
-				if ep.end == -1 {
-					clean = false
-					continue
-				}
-				if d := ep.end - from; d > settle {
-					settle = d
-				}
+			if truth.DownAt(subj, activeAt) {
+				continue // justified suspicion
 			}
-			return true
-		})
-		return true
-	})
+			if ep.end == -1 {
+				clean = false
+				continue
+			}
+			if d := ep.end - from; d > settle {
+				settle = d
+			}
+		}
+	}
 	return settle, clean
 }
 
@@ -387,22 +388,16 @@ func (j *Judge) Reconvergence(truth *GroundTruth, members ident.Set, from time.D
 func (j *Judge) MistakeStorm(truth *GroundTruth, members ident.Set, start, end time.Duration) int {
 	j.build()
 	storm := 0
-	members.ForEach(func(obs ident.ID) bool {
-		members.ForEach(func(subj ident.ID) bool {
-			if obs == subj {
-				return true
+	for _, k := range j.pairs {
+		subj, ok := k.among(members)
+		if !ok {
+			continue
+		}
+		for _, ep := range j.index[k] {
+			if ep.start >= start && ep.start < end && !truth.DownAt(subj, ep.start) {
+				storm++
 			}
-			for _, ep := range j.index[key(obs, subj)] {
-				if ep.start < start || ep.start >= end {
-					continue
-				}
-				if !truth.DownAt(subj, ep.start) {
-					storm++
-				}
-			}
-			return true
-		})
-		return true
-	})
+		}
+	}
 	return storm
 }

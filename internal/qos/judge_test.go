@@ -45,18 +45,53 @@ func randomTruth(r *rand.Rand, n int) *GroundTruth {
 	return &g
 }
 
+// randomMembers draws the member set of one differential trial over n
+// processes: the full set, an empty or single-member set, or a random
+// subset, so traces hold observers and subjects outside members.
+func randomMembers(r *rand.Rand, trial, n int) ident.Set {
+	switch trial % 4 {
+	case 0:
+		return ident.FullSet(n)
+	case 1:
+		return ident.Set{}
+	case 2:
+		return ident.SetOf(ident.ID(r.Intn(n)))
+	}
+	var s ident.Set
+	for id := 0; id < n; id++ {
+		if r.Intn(2) == 0 {
+			s.Add(ident.ID(id))
+		}
+	}
+	return s
+}
+
 // TestJudgeDifferential proves every Judge finalizer byte-identical to the
 // legacy sort+rescan implementation on randomized traces, both when
 // snapshotting a recorded log and when the same events are streamed in via
-// OnSuspicion (exercising the unsorted ingestion path).
+// OnSuspicion (exercising the unsorted ingestion path). Member sets vary per
+// trial (full, empty, single, random subset), and traces include self-pairs
+// and pairs with an endpoint outside members, which the finalizers that walk
+// the episode index must skip.
 func TestJudgeDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	horizon := 20 * time.Second
-	for trial := 0; trial < 40; trial++ {
+	var selfPairs, outsiders int
+	for trial := 0; trial < 160; trial++ {
 		n := 2 + r.Intn(6)
 		log := randomTrace(r, n, r.Intn(300))
 		truth := randomTruth(r, n)
-		members := ident.FullSet(n)
+		members := randomMembers(r, trial, n)
+		for _, e := range log.Events() {
+			if !e.Suspected {
+				continue
+			}
+			if e.Observer == e.Subject {
+				selfPairs++
+			} else if !members.Has(e.Observer) || !members.Has(e.Subject) {
+				outsiders++
+			}
+		}
 
 		streamed := NewJudge()
 		for _, e := range log.Events() {
@@ -92,6 +127,9 @@ func TestJudgeDifferential(t *testing.T) {
 				t.Fatalf("trial %d %s: MistakeStorm = %d, legacy %d", trial, name, got, want)
 			}
 		}
+	}
+	if selfPairs == 0 || outsiders == 0 {
+		t.Fatalf("traces lack the pairs the index walk must skip: %d self-pair and %d outsider suspicions", selfPairs, outsiders)
 	}
 }
 
@@ -189,3 +227,32 @@ func TestOpenIntervalAtHorizonCut(t *testing.T) {
 		t.Fatalf("Mistakes = %+v, want 0 closed / 1 unresolved", st)
 	}
 }
+
+// BenchmarkJudgeMistakes times Mistakes on a live-monitor trace in
+// cmd/fdload's shape: 10,001 members (10,000 peers and the monitor), one
+// observer that detects 16 crashed peers and falsely suspects one live peer
+// for a second. The index is built before the timer starts, so each
+// iteration is the finalizer alone.
+func BenchmarkJudgeMistakes(b *testing.B) {
+	const peers, killed, monitor = 10000, 16, ident.ID(10000)
+	members := ident.FullSet(peers + 1)
+	var truth GroundTruth
+	j := NewJudge()
+	for i := peers - killed; i < peers; i++ {
+		truth.Crash(ident.ID(i), 5*time.Second)
+		j.OnSuspicion(7*time.Second, monitor, ident.ID(i), true)
+	}
+	j.OnSuspicion(2*time.Second, monitor, 0, true)
+	j.OnSuspicion(3*time.Second, monitor, 0, false)
+	horizon := 20 * time.Second
+	if st := j.Mistakes(&truth, members, horizon); st.Count != 1 || st.Unresolved != 0 {
+		b.Fatalf("Mistakes = %+v, want 1 closed mistake", st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mistakesSink = j.Mistakes(&truth, members, horizon)
+	}
+}
+
+var mistakesSink MistakeStats

@@ -12,9 +12,11 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -857,7 +859,7 @@ func compileGenerator(path string, raw json.RawMessage, n int) (faults.Schedule,
 // violations), and every heal matches an active partition.
 func validateSchedule(path string, sched faults.Schedule, horizon time.Duration) error {
 	ordered := append(faults.Schedule(nil), sched...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].At < ordered[j].At })
+	slices.SortStableFunc(ordered, func(a, b faults.Event) int { return cmp.Compare(a.At, b.At) })
 	down := map[ident.ID]bool{}
 	depth := 0
 	for _, e := range ordered {

@@ -5,8 +5,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -143,7 +144,7 @@ func (l *Log) SuspectedAt(observer, subject ident.ID, at time.Duration) bool {
 // series is the raw data of the "false suspicions over time" figure.
 func (l *Log) SuspicionCountSeries(times []time.Duration, include func(subject ident.ID) bool) []int {
 	events := l.Events()
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	type pair struct{ o, s ident.ID }
 	active := make(map[pair]bool)
 	out := make([]int, len(times))
