@@ -23,6 +23,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{"unknown queue", []string{"-quick", "-exp", "E2", "-queue", "wheel"}, "unknown queue"},
 		{"unwritable json target", []string{"-quick", "-exp", "E2", "-json", filepath.Join(t.TempDir(), "no-such-dir", "out.json")}, "no-such-dir"},
 		{"json target is a directory", []string{"-quick", "-exp", "E2", "-json", t.TempDir()}, "is a directory"},
+		{"unwritable cpu profile", []string{"-quick", "-exp", "E2", "-cpuprofile", filepath.Join(t.TempDir(), "no-such-dir", "cpu.out")}, "-cpuprofile"},
+		{"unwritable heap profile", []string{"-quick", "-exp", "E2", "-memprofile", filepath.Join(t.TempDir(), "no-such-dir", "mem.out")}, "-memprofile"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -35,6 +37,28 @@ func TestRunErrorPaths(t *testing.T) {
 				t.Errorf("run(%v) error = %q, want substring %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestProfileFlagsWriteProfiles checks that -cpuprofile and -memprofile
+// each leave a non-empty pprof file behind and leave the report's
+// deterministic fields untouched.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	plain := readExperiments(t, []string{"-quick", "-exp", "E2"})
+	profiled := readExperiments(t, []string{"-quick", "-exp", "E2", "-cpuprofile", cpu, "-memprofile", mem})
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", path)
+		}
+	}
+	if len(plain) != 1 || len(profiled) != 1 || plain[0]["events"] != profiled[0]["events"] || plain[0]["runs"] != profiled[0]["runs"] {
+		t.Errorf("profiling changed the report: %v vs %v", plain, profiled)
 	}
 }
 

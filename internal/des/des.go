@@ -2,22 +2,24 @@
 //
 // It replaces the paper's simulator testbed: experiments run in virtual time
 // (no real sleeps), driven by a single-threaded event loop with a seeded
-// random source, so every run is exactly reproducible from its seed. All
-// simulated components (network links, protocol timers, fault injectors)
-// schedule closures on the kernel; the kernel executes them in (time, FIFO)
-// order.
+// random source, so every run is exactly reproducible from its seed. The
+// kernel executes two kinds of event in one (time, FIFO) order: timers
+// (protocol timeouts, fault injectors), which are closures scheduled with
+// After/At, and messages, which are plain (from, to, msg) records scheduled
+// with Post/Batch and handed on firing to the simulator's one message sink
+// (see BindSink) — the network layer that owns delivery.
 //
 // The kernel is built for throughput: events live in a slab recycled through
 // a free list (no per-event heap allocation in steady state), same-instant
 // bursts drain through a FIFO ready bucket instead of churning the timing
 // structure, message fan-outs can be scheduled as a single Batch node that
-// occupies one queue slot however many deliveries it carries, and batch item
-// storage is recycled through a kernel-owned free pool so repeated
-// broadcasts stop allocating. Far-horizon ordering itself is pluggable
-// (queue.go): a calendar/ladder queue with amortized O(1) push/pop is the
-// default, and the original binary heap is kept as the reference
-// implementation a differential harness checks it against — see QueueKind,
-// WithQueue and SetDefaultQueue.
+// occupies one queue slot however many deliveries it carries, and batch hop
+// storage is recycled through a kernel-owned free pool, so steady-state
+// messaging allocates nothing in the kernel. Far-horizon ordering itself is
+// pluggable (queue.go): a calendar/ladder queue with amortized O(1)
+// push/pop is the default, and the original binary heap is kept as the
+// reference implementation a differential harness checks it against — see
+// QueueKind, WithQueue and SetDefaultQueue.
 package des
 
 import (
@@ -33,31 +35,42 @@ var (
 	_ eventQueue = (*ladderQueue)(nil)
 )
 
-// event is one kernel node: either a single closure or a whole batch
-// fan-out. Events live in the simulator's slab, addressed by index and
+// event is one kernel node: a timer closure, a single message, or a whole
+// batch fan-out. Events live in the simulator's slab, addressed by index and
 // recycled through a free list; gen invalidates stale Timer handles when a
 // slot is reused. For batch nodes, (at, seq) always hold the key of the
-// earliest unfired item.
+// earliest unfired item. A message's data lives in the parallel msgs slab,
+// not here, so the header stays small for timer-heavy workloads.
 type event struct {
 	at      time.Duration
 	seq     uint64
-	fn      func()
+	fn      func() // timer callback; nil for messages
 	gen     uint32
 	stopped bool
+	msg     bool        // message or batch node: msgs[slot] holds its data
 	items   []batchItem // non-nil for batch fan-out nodes
 	head    int         // next unfired batch item
 }
 
+// message is the data of an in-flight message or batch node, kept in the
+// msgs slab at its event's slot. A batch node reads to from its items.
+type message struct {
+	from, to int32
+	msg      any
+}
+
+// batchItem is one pending hop of a batch node. It holds no pointers, so
+// sorting a fan-out moves plain words and the pool pins nothing.
 type batchItem struct {
 	at  time.Duration
-	fn  func()
+	to  int32
 	idx int32 // position in the caller's slice; sort tiebreak for equal at
 }
 
-// BatchItem is one callback of a batch fan-out (see Simulator.Batch).
-type BatchItem struct {
+// Hop is one receiver of a batch fan-out (see Simulator.Batch).
+type Hop struct {
 	D  time.Duration // delay from now; negative delays clamp to zero
-	Fn func()
+	To int32
 }
 
 // noEvent marks an empty slab reference.
@@ -85,9 +98,9 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Simulator is the event loop. It is strictly single-threaded: all scheduled
-// closures run on the goroutine that calls Step/Run/RunUntil, so simulated
-// components need no locking.
+// Simulator is the event loop. It is strictly single-threaded: all timer
+// closures and message deliveries run on the goroutine that calls
+// Step/Run/RunUntil, so simulated components need no locking.
 type Simulator struct {
 	now     time.Duration
 	seq     uint64
@@ -100,13 +113,18 @@ type Simulator struct {
 
 	events []event // slab; all event storage, recycled via free
 	free   []int32 // recycled slab slots
+	// msgs holds message data by slab slot. It grows only when a message
+	// lands in a slot beyond its end, so timer-only runs never allocate it.
+	msgs []message
+	// sink delivers every fired message (see BindSink).
+	sink func(from, to int32, msg any) //fdlint:allow clonefields immutable wiring, bound once (netsim.New) and shared by Fork
 
 	// queue orders far-horizon events by (at, seq); pluggable — see
 	// queue.go (binary-heap reference) and ladder.go (the default).
 	queue     eventQueue
 	queueKind QueueKind //fdlint:allow clonefields immutable config, fixed at construction
 
-	// itemFree recycles the slices batch nodes carry their items in, so
+	// itemFree recycles the slices batch nodes carry their hops in, so
 	// steady-state broadcast fan-outs reuse storage instead of allocating.
 	//fdlint:allow clonefields recycling pool; restoreEvents rebuilds item storage in place
 	itemFree [][]batchItem
@@ -150,9 +168,21 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Steps returns the number of events executed so far.
 func (s *Simulator) Steps() uint64 { return s.stepped }
 
-// Pending returns the number of callbacks currently scheduled (including
-// stopped-but-unreclaimed ones).
+// Pending returns the number of timers and messages currently scheduled
+// (including stopped-but-unreclaimed timers).
 func (s *Simulator) Pending() int { return s.pending }
+
+// BindSink makes sink the receiver of every message this simulator fires.
+// A simulator has one sink for its lifetime: binding a second one panics.
+func (s *Simulator) BindSink(sink func(from, to int32, msg any)) {
+	if s.sink != nil {
+		panic("des: a message sink is already bound to this simulator")
+	}
+	s.sink = sink
+}
+
+// HasSink reports whether a message sink is bound.
+func (s *Simulator) HasSink() bool { return s.sink != nil }
 
 // alloc takes a slab slot from the free list, growing the slab when empty.
 func (s *Simulator) alloc() int32 {
@@ -166,23 +196,41 @@ func (s *Simulator) alloc() int32 {
 }
 
 // release recycles a slab slot; the gen bump invalidates outstanding Timers.
-// Batch item slices go back to the kernel-owned free pool (cleared first so
-// captured closures are released promptly).
+// Batch item slices go back to the kernel-owned free pool, and a message's
+// payload is dropped so the slot does not pin it.
 func (s *Simulator) release(i int32) {
 	e := &s.events[i]
 	e.fn = nil
+	if e.msg {
+		s.msgs[i].msg = nil
+		e.msg = false
+	}
 	if e.items != nil {
-		items := e.items
-		for k := range items {
-			items[k] = batchItem{}
-		}
-		s.itemFree = append(s.itemFree, items[:0])
+		s.itemFree = append(s.itemFree, e.items[:0])
 		e.items = nil
 	}
 	e.head = 0
 	e.stopped = false
 	e.gen++
 	s.free = append(s.free, i)
+}
+
+// setMessage marks slot i as a message event holding m, growing the msgs
+// slab to the event slab's length when i lies beyond its end.
+func (s *Simulator) setMessage(i int32, m message) {
+	if int(i) >= len(s.msgs) {
+		s.msgs = append(s.msgs, make([]message, len(s.events)-len(s.msgs))...)
+	}
+	s.msgs[i] = m
+	s.events[i].msg = true
+}
+
+// needSink panics when a message is scheduled with no sink to fire it into,
+// so the mistake surfaces at the call that made it rather than inside Step.
+func (s *Simulator) needSink() {
+	if s.sink == nil {
+		panic("des: message scheduled with no sink bound (see BindSink)")
+	}
 }
 
 // takeItems pops a batch item slice of length n from the free pool, falling
@@ -210,12 +258,20 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 
 // At schedules fn at absolute virtual time t (clamped to now).
 func (s *Simulator) At(t time.Duration, fn func()) *Timer {
+	i := s.schedule(t)
+	s.events[i].fn = fn
+	return &Timer{s: s, idx: i, gen: s.events[i].gen}
+}
+
+// schedule takes a slab slot keyed (t clamped to now, next seq) and queues
+// it: same-instant events join the ready bucket, later ones the timing queue.
+func (s *Simulator) schedule(t time.Duration) int32 {
 	if t < s.now {
 		t = s.now
 	}
 	i := s.alloc()
 	e := &s.events[i]
-	e.at, e.seq, e.fn = t, s.seq, fn
+	e.at, e.seq = t, s.seq
 	s.seq++
 	s.pending++
 	if t == s.now {
@@ -223,37 +279,42 @@ func (s *Simulator) At(t time.Duration, fn func()) *Timer {
 	} else {
 		s.queue.push(i)
 	}
-	return &Timer{s: s, idx: i, gen: e.gen}
+	return i
 }
 
-// Batch schedules a group of callbacks — typically one message fan-out — as
-// a single kernel node. The node is kept sorted by fire time and always
-// carries the key of its earliest unfired item, so a k-message broadcast
-// costs one slab slot and at most one heap insertion per distinct fire time
-// instead of k, and same-instant bursts drain through the ready bucket with
-// no heap traffic at all. Execution order is exactly that of k individual
-// After calls issued in slice order. The kernel takes ownership of nothing:
-// items is read synchronously and may be reused by the caller.
-func (s *Simulator) Batch(items []BatchItem) {
-	switch len(items) {
-	case 0:
-		return
-	case 1:
-		s.After(items[0].D, items[0].Fn)
+// Post schedules msg from → to to reach the sink d from now, in the slot,
+// sequence and queue position an After call would take. Messages are never
+// cancelled, so Post returns no handle. It panics if no sink is bound.
+func (s *Simulator) Post(d time.Duration, from, to int32, msg any) {
+	s.needSink()
+	// A negative or overflowing delay lands before now, and schedule clamps
+	// it to now, exactly as After does.
+	s.setMessage(s.schedule(s.now+d), message{from: from, to: to, msg: msg})
+}
+
+// Batch schedules one message fan-out — msg from from to every hop's
+// receiver after that hop's delay — as a single kernel node. The node is
+// kept sorted by fire time and always carries the key of its earliest
+// unfired hop, so a k-receiver broadcast costs one slab slot and at most
+// one heap insertion per distinct fire time instead of k, and same-instant
+// bursts drain through the ready bucket with no heap traffic at all. Fire
+// order is exactly that of k individual Post calls issued in slice order.
+// The kernel takes ownership of nothing: hops is read synchronously and may
+// be reused by the caller. It panics if no sink is bound.
+func (s *Simulator) Batch(from int32, msg any, hops []Hop) {
+	s.needSink()
+	if len(hops) == 0 {
 		return
 	}
-	bs := s.takeItems(len(items))
-	for k, it := range items {
-		at := s.now + it.D
-		if it.D < 0 || at < s.now { // negative or overflowing delays clamp to now, as in After
-			at = s.now
-		}
-		bs[k] = batchItem{at: at, fn: it.Fn, idx: int32(k)}
+	bs := s.takeItems(len(hops))
+	for k, h := range hops {
+		// Negative and overflowing delays land before now: clamp, as Post.
+		bs[k] = batchItem{at: max(s.now, s.now+h.D), to: h.To, idx: int32(k)}
 	}
 	// Sorting by (at, idx) — a total order, since idx is the item's position
 	// in the caller's slice — yields exactly the stable-by-at permutation:
 	// equal fire times keep slice order, which combined with the block of
-	// consecutive seqs preserves After-by-After FIFO semantics. The explicit
+	// consecutive seqs preserves Post-by-Post FIFO semantics. The explicit
 	// tiebreak lets this use the unstable pdqsort; a k-receiver broadcast
 	// sorts k items on every send, and first the reflection-based
 	// sort.SliceStable and then symMerge were top entries in large-n sweep
@@ -270,6 +331,7 @@ func (s *Simulator) Batch(items []BatchItem) {
 	e.items, e.head = bs, 0
 	s.seq += uint64(len(bs))
 	s.pending += len(bs)
+	s.setMessage(i, message{from: from, msg: msg})
 	if e.at == s.now {
 		s.fifo = append(s.fifo, i)
 	} else {
@@ -368,15 +430,16 @@ func (s *Simulator) Step() bool {
 		return false
 	}
 	e := &s.events[i]
+	s.stepped++
+	s.pending--
 	if e.items != nil {
-		// Batch node: fire the current item, then re-key the node at its
-		// next item. A same-instant successor parks in the front slot (it
+		// Batch node: fire the current hop, then re-key the node at its
+		// next hop. A same-instant successor parks in the front slot (it
 		// remains the global minimum), skipping the heap entirely.
 		it := e.items[e.head]
 		e.head++
 		s.now = it.at
-		s.stepped++
-		s.pending--
+		m := s.msgs[i]
 		if e.head < len(e.items) {
 			e.at = e.items[e.head].at
 			e.seq++
@@ -388,14 +451,18 @@ func (s *Simulator) Step() bool {
 		} else {
 			s.release(i)
 		}
-		it.fn()
+		s.sink(m.from, it.to, m.msg)
 		return true
 	}
-	at, fn := e.at, e.fn
+	s.now = e.at
+	if e.msg {
+		m := s.msgs[i]
+		s.release(i)
+		s.sink(m.from, m.to, m.msg)
+		return true
+	}
+	fn := e.fn
 	s.release(i) // consume first: a later Timer.Stop reports false
-	s.now = at
-	s.stepped++
-	s.pending--
 	fn()
 	return true
 }

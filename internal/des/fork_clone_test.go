@@ -62,29 +62,33 @@ func structuralFingerprint(s *Simulator) string {
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d halted=%v\n", s.now, s.seq, s.stepped, s.pending, s.halted)
 	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d front=%d\n", s.free, s.fifo, s.fifoHead, s.front)
 	for i, e := range s.events {
-		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v items=%d head=%d fn=%v\n",
-			i, e.at, e.seq, e.gen, e.stopped, len(e.items), e.head, e.fn != nil)
+		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v msg=%v items=%v head=%d fn=%v\n",
+			i, e.at, e.seq, e.gen, e.stopped, e.msg, e.items, e.head, e.fn != nil)
 	}
+	fmt.Fprintf(&b, "msgs=%v\n", s.msgs)
 	return b.String()
 }
 
 // loadSim builds a simulator mid-run with every structural feature present:
-// recycled free slots, a part-drained FIFO, stopped entries, batch nodes and
-// far-horizon timers.
+// recycled free slots, a part-drained FIFO, stopped entries, in-flight
+// messages, batch nodes and far-horizon timers.
 func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
 	s = New(7, WithQueue(kind))
 	fired = new(int)
 	bump := func() { *fired++ }
+	s.BindSink(func(int32, int32, any) { *fired++ })
 	for i := 0; i < 8; i++ {
 		s.After(time.Duration(i)*time.Millisecond, bump)
+		s.Post(time.Duration(i)*time.Millisecond+time.Microsecond, int32(i), int32(i+1), i)
 	}
 	far := s.After(time.Hour, bump)
 	s.At(30*time.Second, bump)
-	items := make([]BatchItem, 5)
-	for j := range items {
-		items[j] = BatchItem{D: time.Duration(j%2) * 250 * time.Microsecond, Fn: bump}
+	s.Post(time.Hour+time.Second, 1, 2, "far")
+	hops := make([]Hop, 5)
+	for j := range hops {
+		hops[j] = Hop{D: time.Duration(j%2) * 250 * time.Microsecond, To: int32(j)}
 	}
-	s.Batch(items)
+	s.Batch(9, "fanout", hops)
 	stop := s.After(4500*time.Microsecond, bump)
 	s.RunUntil(2 * time.Millisecond) // recycle a few slots onto the free list
 	// Stopped events stay on Pending()'s count until the kernel reaps them.
@@ -94,13 +98,13 @@ func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
 		}
 	}
 	s.After(0, bump) // ready-FIFO entry at the current instant
-	s.Batch([]BatchItem{{D: 0, Fn: bump}, {D: time.Millisecond, Fn: bump}})
+	s.Batch(3, "late", []Hop{{D: 0, To: 1}, {D: time.Millisecond, To: 2}})
 	return s, fired, stopped
 }
 
 // TestForkCloneInvariants forks a loaded simulator on both queue kinds and
 // checks, for parent and child alike: the slab invariants hold, child
-// mutations (Stop/After/Batch/Step/RunUntil) never change the parent's
+// mutations (Stop/After/Post/Batch/Step/RunUntil) never change the parent's
 // structural fingerprint, and both kernels then drain to the same schedule.
 func TestForkCloneInvariants(t *testing.T) {
 	for _, tc := range []struct {
@@ -125,7 +129,8 @@ func TestForkCloneInvariants(t *testing.T) {
 			// Mutate the child every way the API allows.
 			childExtra := 0
 			tm := child.After(3*time.Millisecond, func() { childExtra++ })
-			child.Batch([]BatchItem{{D: 0, Fn: func() { childExtra++ }}, {D: time.Minute, Fn: func() { childExtra++ }}})
+			child.Post(time.Millisecond, 5, 6, "child")
+			child.Batch(4, "child", []Hop{{D: 0, To: 1}, {D: time.Minute, To: 2}})
 			tm.Stop()
 			child.Step()
 			child.RunUntil(child.Now() + 10*time.Millisecond)
@@ -135,7 +140,8 @@ func TestForkCloneInvariants(t *testing.T) {
 			}
 
 			// The parent still drains its original schedule: every pending
-			// callback except the stopped (not yet reaped) ones fires once.
+			// timer and message except the stopped (not yet reaped) timers
+			// fires once.
 			pend := parent.Pending()
 			beforeFired := *parentFired
 			parent.RunUntil(2 * time.Hour)
@@ -178,6 +184,55 @@ func TestRestoreRepeatable(t *testing.T) {
 			}
 			if runs[1] != runs[0] || runs[2] != runs[0] {
 				t.Fatalf("replays diverged: %q / %q / %q", runs[0], runs[1], runs[2])
+			}
+		})
+	}
+}
+
+// TestRestoreBroadcastInFlight snapshots a kernel with a broadcast part
+// delivered, diverges it (a reseed, new messages and a full drain), restores
+// it, and checks that the (from, to, msg) deliveries from the snapshot on
+// equal those of a run that never diverged.
+func TestRestoreBroadcastInFlight(t *testing.T) {
+	for _, kind := range []QueueKind{QueueLadder, QueueHeap} {
+		kind := kind
+		t.Run(fmt.Sprint(kind), func(t *testing.T) {
+			hops := make([]Hop, 16)
+			for i := range hops {
+				hops[i] = Hop{D: time.Duration(i%4) * time.Millisecond, To: int32(i)}
+			}
+			build := func() (*Simulator, *[]delivery) {
+				s := New(5, WithQueue(kind))
+				log := recordingSink(s)
+				s.Batch(0, "query", hops)
+				s.Post(1500*time.Microsecond, 3, 0, "response")
+				s.After(2*time.Millisecond, func() { s.Batch(1, "second", hops[:5]) })
+				return s, log
+			}
+			const cutAt = 1500 * time.Microsecond
+
+			ref, refLog := build()
+			ref.RunUntil(cutAt)
+			cut := len(*refLog)
+			ref.Run()
+			want := append([]delivery(nil), (*refLog)[cut:]...)
+
+			s, log := build()
+			s.RunUntil(cutAt)
+			if len(*log) != cut || cut == 0 || s.Pending() == 0 {
+				t.Fatalf("at the cut: %d delivered, %d pending; want a part-delivered broadcast", len(*log), s.Pending())
+			}
+			snap := s.Snapshot()
+			s.Reseed(99)
+			s.Batch(2, "diverged", hops)
+			s.Post(0, 7, 8, "diverged")
+			s.Run()
+
+			s.Restore(snap)
+			*log = (*log)[:cut]
+			s.Run()
+			if got := (*log)[cut:]; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("restored deliveries diverged:\ngot  %v\nwant %v", got, want)
 			}
 		})
 	}

@@ -2,35 +2,98 @@ package des
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 // fuzz_test.go is the kernel-level half of the queue differential harness:
-// a byte-coded script drives an identical workload of After/At/Stop/Step/
-// RunUntil/Batch calls against a heap-backed and a ladder-backed simulator
-// and asserts the two are observationally identical — same fire order, same
-// Now()/Steps()/Pending() at every checkpoint. The committed seed corpus
-// (testdata/fuzz/FuzzQueueEquivalence) covers the regression-prone shapes:
-// same-instant ties, stopped-head reaping, far-horizon timers and batch
-// fan-outs. CI runs the target with a short -fuzztime budget on every push.
+// a byte-coded script drives an identical workload of After/At/Stop timers,
+// Post/Batch messages into a recording sink, and Step/RunUntil calls against
+// a heap-backed and a ladder-backed simulator and asserts the two are
+// observationally identical — same fire and delivery order (with each
+// message's from, to and payload), same Now()/Steps()/Pending() at every
+// checkpoint. The committed seed corpus (testdata/fuzz/FuzzQueueEquivalence)
+// covers the regression-prone shapes: same-instant ties, stopped-head
+// reaping, far-horizon timers and messages, and batch fan-outs. CI runs the
+// target with a short -fuzztime budget on every push.
 
-// queueScriptTrace is everything observable about one script run.
-type queueScriptTrace struct {
-	fires  []string // "id@now" per executed callback, in order
-	marks  []string // "now/steps/pending" checkpoint after each control op
-	events uint64
-	now    time.Duration
-	pend   int
+// scriptHarness interprets byte-coded op scripts against one simulator. The
+// interpretation is fully deterministic in the script, so runs on different
+// queues, or a replay after Restore, see byte-for-byte the same workload.
+// Every event gets an id: a timer closes over its id, and a message carries
+// it as its receiver (to), so the sink can tell deliveries apart.
+type scriptHarness struct {
+	s       *Simulator
+	out     *[]string // swappable so a replay records into a fresh trace
+	timers  []*Timer
+	eventID int
 }
 
-// runQueueScript interprets data as an op stream against a fresh simulator
-// on the given queue. The interpretation is fully deterministic in data, so
-// two runs on different queues see byte-for-byte the same workload.
-func runQueueScript(kind QueueKind, data []byte) queueScriptTrace {
-	s := New(1, WithQueue(kind))
-	var tr queueScriptTrace
+// newScriptHarness binds the harness's recording sink to s.
+func newScriptHarness(s *Simulator, out *[]string) *scriptHarness {
+	h := &scriptHarness{s: s, out: out}
+	s.BindSink(func(from, to int32, msg any) {
+		h.fire(int(to), fmt.Sprintf("m%d>%d:%v", from, to, msg))
+	})
+	return h
+}
+
+func (h *scriptHarness) nextID() int {
+	id := h.eventID
+	h.eventID++
+	return id
+}
+
+// timer returns the callback of the next timer.
+func (h *scriptHarness) timer() func() {
+	id := h.nextID()
+	return func() { h.fire(id, fmt.Sprintf("t%d", id)) }
+}
+
+// post sends the next message d from now. Its sender and payload are
+// derived from its id, so the trace checks both survive the kernel intact.
+func (h *scriptHarness) post(d time.Duration) {
+	id := h.nextID()
+	h.s.Post(d, int32(id%13), int32(id), fmt.Sprintf("p%d", id))
+}
+
+// batch schedules a fan-out of one payload to one fresh id per delay.
+func (h *scriptHarness) batch(delays []time.Duration) {
+	hops := make([]Hop, len(delays))
+	for j, d := range delays {
+		hops[j] = Hop{D: d, To: int32(h.nextID())}
+	}
+	h.s.Batch(hops[0].To%13, fmt.Sprintf("b%d", hops[0].To), hops)
+}
+
+// fire records one fired timer or delivered message. A deterministic subset
+// of events draws from the kernel RNG (the draw value lands in the trace,
+// so a replay with a mis-positioned RNG stream diverges) and schedules
+// nested work: a message for even ids, a timer for odd ones.
+func (h *scriptHarness) fire(id int, what string) {
+	line := fmt.Sprintf("%s@%d", what, h.s.Now())
+	if id%3 == 0 {
+		line += fmt.Sprintf("#%d", h.s.Rand().Int63n(1024))
+	}
+	*h.out = append(*h.out, line)
+	if id%7 == 3 && h.eventID < 4096 {
+		d := time.Duration(id%5) * time.Microsecond
+		if id%2 == 0 {
+			h.post(d)
+		} else {
+			h.s.After(d, h.timer())
+		}
+	}
+}
+
+func (h *scriptHarness) mark() {
+	*h.out = append(*h.out, fmt.Sprintf("%d/%d/%d", h.s.Now(), h.s.Steps(), h.s.Pending()))
+}
+
+// interp runs data as an op stream.
+func (h *scriptHarness) interp(data []byte) {
 	pos := 0
 	next := func() byte {
 		if pos >= len(data) {
@@ -43,63 +106,69 @@ func runQueueScript(kind QueueKind, data []byte) queueScriptTrace {
 	next16 := func() time.Duration {
 		return time.Duration(int(next())<<8 | int(next()))
 	}
-	var timers []*Timer
-	eventID := 0
-	var mk func() func()
-	mk = func() func() {
-		id := eventID
-		eventID++
-		return func() {
-			tr.fires = append(tr.fires, fmt.Sprintf("%d@%d", id, s.Now()))
-			// A sparse, deterministic fraction of callbacks schedules nested
-			// work (same rule on both queues); the id cap bounds the chain.
-			if id%7 == 3 && eventID < 4096 {
-				s.After(time.Duration(id%5)*time.Microsecond, mk())
-			}
-		}
-	}
-	mark := func() {
-		tr.marks = append(tr.marks, fmt.Sprintf("%d/%d/%d", s.Now(), s.Steps(), s.Pending()))
-	}
-	for pos < len(data) && eventID < 4096 {
+	for pos < len(data) && h.eventID < 4096 {
 		switch next() % 8 {
-		case 0, 1: // near-horizon After, µs scale: the dense common case
-			s.After(next16()*time.Microsecond, mk())
+		case 0: // near-horizon message, µs scale: the dense common case
+			h.post(next16() * time.Microsecond)
+		case 1: // near-horizon timer
+			h.s.After(next16()*time.Microsecond, h.timer())
 		case 2: // absolute At, including already-passed instants (clamped)
-			timers = append(timers, s.At(s.Now()+next16()*time.Microsecond-32*time.Millisecond, mk()))
-		case 3: // far-horizon After, up to ~18.6h (65535ms << 10): deep
-			// ladder top-list accumulation and epoch re-spawns
-			s.After(next16()*time.Millisecond<<(next()%11), mk())
+			h.timers = append(h.timers, h.s.At(h.s.Now()+next16()*time.Microsecond-32*time.Millisecond, h.timer()))
+		case 3: // far-horizon timer or message, up to ~18.6h (65535ms <<
+			// 10): deep ladder top-list accumulation and epoch re-spawns
+			d := next16() * time.Millisecond << (next() % 11)
+			if h.eventID%2 == 0 {
+				h.post(d)
+			} else {
+				h.s.After(d, h.timer())
+			}
 		case 4: // Stop a previously returned timer
-			if len(timers) > 0 {
-				timers[int(next())%len(timers)].Stop()
+			if len(h.timers) > 0 {
+				h.timers[int(next())%len(h.timers)].Stop()
 			}
 		case 5:
-			s.Step()
-			mark()
+			h.s.Step()
+			h.mark()
 		case 6:
-			s.RunUntil(s.Now() + next16()*time.Microsecond)
-			mark()
-		case 7: // batch fan-out with same-instant and spread items
-			k := int(next())%6 + 2
-			items := make([]BatchItem, k)
-			for j := 0; j < k; j++ {
-				items[j] = BatchItem{D: time.Duration(next()%8) * 500 * time.Microsecond, Fn: mk()}
+			h.s.RunUntil(h.s.Now() + next16()*time.Microsecond)
+			h.mark()
+		case 7: // batch fan-out with same-instant and spread hops
+			delays := make([]time.Duration, int(next())%6+2)
+			for j := range delays {
+				delays[j] = time.Duration(next()%8) * 500 * time.Microsecond
 			}
-			s.Batch(items)
+			h.batch(delays)
 		}
 		if next()%4 == 0 { // sprinkle timers eligible for Stop
-			timers = append(timers, s.After(next16()*time.Microsecond, mk()))
+			h.timers = append(h.timers, h.s.After(next16()*time.Microsecond, h.timer()))
 		}
 	}
-	mark()
-	// Drain to completion with a safety cap (the nested-scheduling rule is
-	// subcritical, but a fuzz harness should never be able to hang).
-	for i := 0; i < 1_000_000 && s.Step(); i++ {
+}
+
+// drain steps the simulator dry (capped: the nested-scheduling rule is
+// subcritical, but a fuzz harness should never be able to hang).
+func (h *scriptHarness) drain() {
+	for i := 0; i < 1_000_000 && h.s.Step(); i++ {
 	}
-	tr.events = s.Steps()
-	tr.now = s.Now()
-	tr.pend = s.Pending()
+	h.mark()
+}
+
+// queueScriptTrace is everything observable about one script run.
+type queueScriptTrace struct {
+	lines  []string // fires, deliveries and checkpoints, in order
+	events uint64
+	now    time.Duration
+	pend   int
+}
+
+// runQueueScript interprets data against a fresh simulator on the given
+// queue and drains it.
+func runQueueScript(kind QueueKind, data []byte) queueScriptTrace {
+	var tr queueScriptTrace
+	h := newScriptHarness(New(1, WithQueue(kind)), &tr.lines)
+	h.interp(data)
+	h.drain()
+	tr.events, tr.now, tr.pend = h.s.Steps(), h.s.Now(), h.s.Pending()
 	return tr
 }
 
@@ -112,27 +181,19 @@ func assertQueueTracesEqual(t *testing.T, data []byte) {
 		t.Fatalf("final state diverged: heap steps=%d now=%v pending=%d, ladder steps=%d now=%v pending=%d",
 			h.events, h.now, h.pend, l.events, l.now, l.pend)
 	}
-	if len(h.fires) != len(l.fires) {
-		t.Fatalf("fire counts diverged: heap %d, ladder %d", len(h.fires), len(l.fires))
+	if len(h.lines) != len(l.lines) {
+		t.Fatalf("trace lengths diverged: heap %d, ladder %d", len(h.lines), len(l.lines))
 	}
-	for i := range h.fires {
-		if h.fires[i] != l.fires[i] {
-			t.Fatalf("fire order diverged at %d: heap %s, ladder %s", i, h.fires[i], l.fires[i])
-		}
-	}
-	if len(h.marks) != len(l.marks) {
-		t.Fatalf("checkpoint counts diverged: heap %d, ladder %d", len(h.marks), len(l.marks))
-	}
-	for i := range h.marks {
-		if h.marks[i] != l.marks[i] {
-			t.Fatalf("checkpoint %d diverged (now/steps/pending): heap %s, ladder %s", i, h.marks[i], l.marks[i])
+	for i := range h.lines {
+		if h.lines[i] != l.lines[i] {
+			t.Fatalf("trace diverged at %d (fire, delivery or now/steps/pending): heap %s, ladder %s", i, h.lines[i], l.lines[i])
 		}
 	}
 }
 
-// FuzzQueueEquivalence drives random interleavings of After/At/Stop/Step/
-// RunUntil/Batch against the heap and ladder queues and asserts identical
-// observable behavior. Seeds mirror the committed corpus.
+// FuzzQueueEquivalence drives random interleavings of After/At/Stop/Post/
+// Batch/Step/RunUntil against the heap and ladder queues and asserts
+// identical observable behavior. Seeds mirror the committed corpus.
 func FuzzQueueEquivalence(f *testing.F) {
 	for _, seed := range queueScriptSeeds() {
 		f.Add(seed)
@@ -150,7 +211,7 @@ func FuzzQueueEquivalence(f *testing.F) {
 // corpus under testdata/fuzz/FuzzQueueEquivalence.
 func queueScriptSeeds() [][]byte {
 	return [][]byte{
-		// same-instant ties: a burst of zero-delay Afters and batches
+		// same-instant ties: a burst of zero-delay messages, timers and batches
 		{0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 0, 3, 7, 4, 0, 0, 0, 0, 0, 0, 0, 0, 5, 1},
 		// stopped-head reaping: schedule, stop, step
 		{0, 1, 0, 0, 4, 0, 1, 4, 1, 1, 5, 2, 4, 0, 3, 5, 1, 6, 255, 255, 0},
@@ -175,15 +236,8 @@ func TestQueueDifferential(t *testing.T) {
 	f := func(data []byte) bool {
 		h := runQueueScript(QueueHeap, data)
 		l := runQueueScript(QueueLadder, data)
-		if h.events != l.events || h.now != l.now || h.pend != l.pend || len(h.fires) != len(l.fires) {
-			return false
-		}
-		for i := range h.fires {
-			if h.fires[i] != l.fires[i] {
-				return false
-			}
-		}
-		return true
+		return h.events == l.events && h.now == l.now && h.pend == l.pend &&
+			strings.Join(h.lines, "\n") == strings.Join(l.lines, "\n")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -41,23 +41,24 @@ func BenchmarkQueueDenseHorizon(b *testing.B) {
 }
 
 // BenchmarkQueueBroadcastFanout measures batched fan-out scheduling plus
-// drain — the netsim broadcast path — under both queues, including the
-// kernel's batch-item slice pool.
+// drain into a no-op sink — the netsim broadcast path — under both queues,
+// including the kernel's batch-hop slice pool.
 func BenchmarkQueueBroadcastFanout(b *testing.B) {
 	for _, kind := range queueKinds() {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			items := make([]BatchItem, 64)
-			fn := func() {}
+			hops := make([]Hop, 64)
+			for j := range hops {
+				hops[j] = Hop{D: time.Duration(j%7) * time.Microsecond, To: int32(j)}
+			}
+			var msg any = "q"
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := New(1, WithQueue(kind))
+				s.BindSink(func(int32, int32, any) {})
 				for round := 0; round < 20; round++ {
-					for j := range items {
-						items[j] = BatchItem{D: time.Duration(j%7) * time.Microsecond, Fn: fn}
-					}
-					s.Batch(items)
+					s.Batch(0, msg, hops)
 					s.Run()
 				}
 			}

@@ -2,25 +2,28 @@ package des
 
 // snapshot.go is the kernel's checkpoint/fork primitive. A Snapshot captures
 // the complete observable state of a Simulator — virtual clock, sequence
-// counter, the event slab (including per-event batch item storage), the free
-// list, the ready bucket and front slot, the timing queue, and the random
-// stream position — so a warmed simulation can be rolled back and re-run, or
-// cloned outright.
+// counter, the event slab (including per-event batch hop storage), the
+// in-flight message data, the free list, the ready bucket and front slot,
+// the timing queue, and the random stream position — so a warmed simulation
+// can be rolled back and re-run, or cloned outright.
 //
-// Two verbs, two use cases:
+// Messages are plain (from, to, msg) data, copied like the rest of the slab;
+// only timers are closures. Two verbs, two use cases:
 //
 //   - Snapshot/Restore roll the SAME Simulator back in place. This is the
-//     form the experiment layer uses: scheduled closures capture the live
-//     component objects (detectors, network), so replication must rewind the
-//     kernel those closures are bound to rather than build a second one. A
-//     Snapshot is immutable once taken — Restore deep-copies out of it — so
-//     one warmed checkpoint serves any number of replicates.
+//     form the experiment layer uses: pending timer closures capture the
+//     live component objects (detectors, network), and the bound message
+//     sink is the live network, so replication must rewind the kernel they
+//     are bound to rather than build a second one. A Snapshot is immutable
+//     once taken — Restore deep-copies out of it — so one warmed checkpoint
+//     serves any number of replicates.
 //
-//   - Fork deep-copies into a NEW Simulator. Pending closures are shared by
-//     reference, so a fork only makes sense when those closures touch no
-//     state outside the kernel (pure-kernel tests, microbenchmarks) — which
-//     is exactly what the clone-invariant tests exercise: mutating the child
-//     must never perturb the parent's slab, queue, or free list.
+//   - Fork deep-copies into a NEW Simulator. Pending timer closures and the
+//     message sink are shared by reference, so a fork only makes sense when
+//     they touch no state outside the kernel (pure-kernel tests,
+//     microbenchmarks) — which is exactly what the clone-invariant tests
+//     exercise: mutating the child must never perturb the parent's slab,
+//     queue, or free list.
 //
 // Determinism contract: after Restore, the simulator replays byte-identically
 // — same fire order, same Now/Steps/Pending trajectory, same Rand() draws —
@@ -102,6 +105,7 @@ type Snapshot struct {
 	seed     int64
 	draws    uint64
 	events   []event
+	msgs     []message
 	free     []int32
 	fifo     []int32
 	fifoHead int
@@ -111,7 +115,8 @@ type Snapshot struct {
 
 // cloneEvents deep-copies an event slab. The per-event items slices must be
 // copied too: the live kernel recycles them through its itemFree pool, so a
-// shallow copy would alias storage the next broadcast overwrites.
+// shallow copy would alias storage the next broadcast overwrites. Message
+// payloads are shared by reference: the kernel never mutates them.
 func cloneEvents(src []event) []event {
 	out := make([]event, len(src))
 	copy(out, src)
@@ -126,8 +131,8 @@ func cloneEvents(src []event) []event {
 }
 
 // Snapshot captures the simulator's complete state. The checkpoint shares
-// nothing mutable with the live kernel: the slab (with batch item storage),
-// free list, ready bucket and timing queue are all deep copies.
+// nothing mutable with the live kernel: the slab (with batch hop storage),
+// message data, free list, ready bucket and timing queue are all deep copies.
 func (s *Simulator) Snapshot() *Snapshot {
 	return &Snapshot{
 		now:      s.now,
@@ -138,6 +143,7 @@ func (s *Simulator) Snapshot() *Snapshot {
 		seed:     s.seed,
 		draws:    s.src.draws,
 		events:   cloneEvents(s.events),
+		msgs:     append([]message(nil), s.msgs...),
 		free:     append([]int32(nil), s.free...),
 		fifo:     append([]int32(nil), s.fifo...),
 		fifoHead: s.fifoHead,
@@ -189,6 +195,7 @@ func (s *Simulator) Restore(snap *Snapshot) {
 	s.pending = snap.pending
 	s.halted = snap.halted
 	s.restoreEvents(snap.events)
+	s.msgs = append(s.msgs[:0], snap.msgs...)
 	s.free = append(s.free[:0], snap.free...)
 	s.fifo = append(s.fifo[:0], snap.fifo...)
 	s.fifoHead = snap.fifoHead
@@ -198,11 +205,12 @@ func (s *Simulator) Restore(snap *Snapshot) {
 }
 
 // Fork returns a new, independent Simulator that is a deep copy of this one:
-// same clock, same pending events, same random stream position, same queue
-// kind. Pending closures are shared by reference (closures cannot be deep
-// copied), so Fork is for kernel-level workloads whose events touch only
-// kernel state; component stacks use Snapshot/Restore instead. Mutating
-// either simulator never perturbs the other.
+// same clock, same pending timers and messages, same random stream position,
+// same queue kind, same message sink. Pending timer closures and the sink are
+// shared by reference (closures cannot be deep copied), so Fork is for
+// kernel-level workloads whose timers and sink touch only state outside any
+// component stack; component stacks use Snapshot/Restore instead. Mutating
+// either simulator's schedule never perturbs the other's.
 func (s *Simulator) Fork() *Simulator {
 	c := &Simulator{
 		now:       s.now,
@@ -212,6 +220,8 @@ func (s *Simulator) Fork() *Simulator {
 		halted:    s.halted,
 		queueKind: s.queueKind,
 		events:    cloneEvents(s.events),
+		msgs:      append([]message(nil), s.msgs...),
+		sink:      s.sink,
 		free:      append([]int32(nil), s.free...),
 		fifo:      append([]int32(nil), s.fifo...),
 		fifoHead:  s.fifoHead,

@@ -125,24 +125,32 @@ type Network struct {
 	// is consulted per message (its labels are composite).
 	partitions []partitionLayer
 	stats      Stats
-	// bcast is the broadcast fan-out scratch buffer, reused across
+	// hops is the broadcast fan-out scratch buffer, reused across
 	// Broadcast calls (Batch reads it synchronously, and the kernel pools
-	// the per-node item storage itself), so steady-state gossip stops
+	// the per-node hop storage itself), so steady-state gossip stops
 	// allocating one slice per broadcast.
 	//fdlint:allow clonefields scratch buffer; contents are dead between Broadcast calls
-	bcast []des.BatchItem
+	hops []des.Hop
 }
 
-// New builds a network on sim.
+// New builds a network on sim and binds it as sim's message sink: every
+// in-flight message is a plain kernel record that fires into deliver. A
+// simulator carries at most one network; building a second on the same
+// simulator panics.
 func New(sim *des.Simulator, cfg Config) *Network {
 	if cfg.Delay == nil {
 		panic("netsim: Config.Delay is required")
 	}
-	return &Network{
+	if sim.HasSink() {
+		panic("netsim: simulator already has a network (or another message sink) bound; use one Network per Simulator")
+	}
+	n := &Network{
 		sim:       sim,
 		cfg:       cfg,
 		topoEpoch: 1,
 	}
+	sim.BindSink(n.deliver)
+	return n
 }
 
 // registered reports whether id has a handler.
@@ -361,10 +369,10 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // Snapshot is a checkpoint of the network's mutable state, taken with
 // Network.Snapshot and rolled back with Network.Restore. It pairs with
-// des.Snapshot: the kernel checkpoint holds the in-flight messages (their
-// delivery closures), this one holds liveness, topology, the filter stack,
-// partitions and traffic counters. It shares no mutable storage with the
-// live network.
+// des.Snapshot: the kernel checkpoint holds the in-flight messages (as
+// (from, to, payload) records), this one holds liveness, topology, the
+// filter stack, partitions and traffic counters. It shares no mutable
+// storage with the live network.
 type Snapshot struct {
 	handlers   []node.Handler
 	crashed    ident.Set
@@ -415,9 +423,9 @@ func (n *Network) Snapshot() *Snapshot {
 	}
 }
 
-// Restore rolls the network back to the checkpoint, in place (the kernel's
-// pending delivery closures captured this Network, so replication rewinds it
-// rather than building a second one). Deep copies go both ways, so the same
+// Restore rolls the network back to the checkpoint, in place (this Network
+// is the kernel's bound message sink, so replication rewinds it rather than
+// building a second one). Deep copies go both ways, so the same
 // snapshot restores any number of times. The fan-out cache is invalidated
 // wholesale: rebuilds are lazy, deterministic functions of the restored
 // topology, so behavior is unchanged and stale epoch stamps from the
@@ -449,7 +457,7 @@ func (n *Network) send(from, to ident.ID, payload any) {
 	if !ok {
 		return
 	}
-	n.sim.After(delay, func() { n.deliver(from, to, payload) })
+	n.sim.Post(delay, int32(from), int32(to), payload)
 }
 
 // admit runs the send-time checks shared by unicast and broadcast — stats,
@@ -492,13 +500,15 @@ func (n *Network) admit(from, to ident.ID, payload any) (time.Duration, bool) {
 	return n.cfg.Delay.Delay(n.sim.Rand(), from, to, now), true
 }
 
-// deliver hands payload to the destination process, if it is still alive.
-func (n *Network) deliver(from, to ident.ID, payload any) {
-	if n.crashed.Has(to) || !n.registered(to) {
+// deliver is the kernel's message sink: it hands payload to the destination
+// process, if it is still alive.
+func (n *Network) deliver(from, to int32, payload any) {
+	dst := ident.ID(to)
+	if n.crashed.Has(dst) || !n.registered(dst) {
 		return
 	}
 	n.stats.Delivered++
-	n.handlers[to].Deliver(from, payload)
+	n.handlers[dst].Deliver(ident.ID(from), payload)
 }
 
 // Env binds one process identity to the network; it implements node.Env.
@@ -554,20 +564,15 @@ func (e *Env) Broadcast(payload any) {
 	if n.crashed.Has(e.id) {
 		return
 	}
-	items := n.bcast[:0]
+	hops := n.hops[:0]
 	from := e.id
 	for _, to := range n.fanoutFor(from) {
 		delay, ok := n.admit(from, to, payload)
 		if !ok {
 			continue
 		}
-		items = append(items, des.BatchItem{D: delay, Fn: func() { n.deliver(from, to, payload) }})
+		hops = append(hops, des.Hop{D: delay, To: int32(to)})
 	}
-	n.sim.Batch(items)
-	// Batch copied everything it needs; clear the scratch so the payload
-	// and delivery closures are not pinned until the next broadcast.
-	for k := range items {
-		items[k] = des.BatchItem{}
-	}
-	n.bcast = items[:0]
+	n.sim.Batch(int32(from), payload, hops)
+	n.hops = hops
 }

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -337,6 +339,20 @@ func TestMissingDelayPanics(t *testing.T) {
 	New(des.New(1), Config{})
 }
 
+// TestSecondNetworkPanics pins that a simulator carries one network: a
+// second New on the same simulator would steal the first one's in-flight
+// messages, so it panics.
+func TestSecondNetworkPanics(t *testing.T) {
+	sim := des.New(1)
+	New(sim, Config{Delay: Constant{}})
+	defer func() {
+		if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), "netsim: ") {
+			t.Errorf("second New on one simulator: recover() = %v, want a netsim: panic", r)
+		}
+	}()
+	New(sim, Config{Delay: Constant{}})
+}
+
 func TestUnknownEnvPanics(t *testing.T) {
 	sim := des.New(1)
 	net := New(sim, Config{Delay: Constant{}})
@@ -630,16 +646,76 @@ func TestQuickNetworkDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkBroadcast32(b *testing.B) {
+// meshOf builds an n-node full mesh of stub handlers on constant-delay
+// links and warms it with one broadcast from every node, so the slab, the
+// batch-hop pool and the fan-out caches are at steady state.
+func meshOf(tb testing.TB, n int) (*des.Simulator, *Network) {
+	tb.Helper()
 	sim := des.New(1)
 	net := New(sim, Config{Delay: Uniform{Min: time.Microsecond, Max: time.Millisecond}})
-	for i := 0; i < 32; i++ {
+	for i := 0; i < n; i++ {
 		net.AddNode(ident.ID(i), node.HandlerFunc(func(ident.ID, any) {}))
 	}
+	for i := 0; i < n; i++ {
+		net.Env(ident.ID(i)).Broadcast(nil)
+	}
+	sim.Run()
+	return sim, net
+}
+
+// TestSendAllocatesNothing pins a steady-state unicast, sent and run to
+// delivery with a pre-boxed payload, at zero allocations.
+func TestSendAllocatesNothing(t *testing.T) {
+	sim, net := meshOf(t, 64)
+	env := net.Env(0)
+	var msg any = struct{ seq int }{7}
+	if a := testing.AllocsPerRun(100, func() {
+		env.Send(1, msg)
+		sim.Run()
+	}); a != 0 {
+		t.Errorf("Send+delivery allocates %v times per message, want 0", a)
+	}
+}
+
+// TestBroadcastAllocatesNothing pins a steady-state 63-receiver broadcast,
+// run to delivery with a pre-boxed payload, at zero allocations.
+func TestBroadcastAllocatesNothing(t *testing.T) {
+	sim, net := meshOf(t, 64)
+	env := net.Env(0)
+	var msg any = struct{ seq int }{7}
+	before := net.Stats().Delivered
+	if a := testing.AllocsPerRun(100, func() {
+		env.Broadcast(msg)
+		sim.Run()
+	}); a != 0 {
+		t.Errorf("Broadcast+delivery allocates %v times per 63-receiver broadcast, want 0", a)
+	}
+	if got := net.Stats().Delivered - before; got != 101*63 {
+		t.Errorf("delivered %d messages, want %d", got, 101*63)
+	}
+}
+
+func BenchmarkBroadcast32(b *testing.B) {
+	sim, net := meshOf(b, 32)
 	env := net.Env(0)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.Broadcast("q")
+		sim.Run()
+	}
+}
+
+// BenchmarkSendDeliver times one steady-state unicast from Send through the
+// kernel to the receiver's handler.
+func BenchmarkSendDeliver(b *testing.B) {
+	sim, net := meshOf(b, 2)
+	env := net.Env(0)
+	var msg any = struct{ seq int }{7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Send(1, msg)
 		sim.Run()
 	}
 }
