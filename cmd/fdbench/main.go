@@ -9,7 +9,7 @@
 //	        [-config FILE[,FILE...]]
 //	        [-seed N] [-repeat R] [-parallel N] [-ci] [-json FILE]
 //	        [-queue ladder|heap] [-fork on|off]
-//	        [-cpuprofile FILE] [-memprofile FILE]
+//	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //
 // Row kinds: ids E1–E8 are the reconstructed paper-family tables, A1/A2 the
 // ablations, R1/R2 the fault-scenario sweeps (crash-recovery and
@@ -142,7 +142,8 @@
 // -cpuprofile FILE writes a CPU profile of the whole run and -memprofile
 // FILE a heap profile (allocation counts and bytes since start, plus the
 // live heap) taken when the run ends, both in pprof format for
-// `go tool pprof`. Profiling never changes tables or reports.
+// `go tool pprof`; -trace FILE writes an execution trace of the run for
+// `go tool trace`. Profiling never changes tables or reports.
 package main
 
 import (
@@ -151,12 +152,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"asyncfd/internal/des"
 	"asyncfd/internal/exp"
+	"asyncfd/internal/profiling"
 	"asyncfd/internal/scenario"
 	"asyncfd/internal/stats"
 )
@@ -223,46 +224,6 @@ func main() {
 	}
 }
 
-// startProfiles starts a CPU profile into cpuPath and returns the function
-// that stops it and then writes a heap profile into memPath. An empty path
-// skips that profile.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-	}
-	return func() error {
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				return fmt.Errorf("-cpuprofile: %w", err)
-			}
-		}
-		if memPath == "" {
-			return nil
-		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		runtime.GC() // settle the live-heap figures
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		return nil
-	}, nil
-}
-
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("fdbench", flag.ContinueOnError)
 	expID := fs.String("exp", "all", "experiment id (E1..E8, A1, A2, R1, R2, X1, X2, L1, L5, LT), a comma-separated list, or 'all'")
@@ -275,8 +236,7 @@ func run(args []string) (err error) {
 	jsonPath := fs.String("json", "", "write a bench report (schema asyncfd-bench/v1, or v2 with -ci) to this file; '-' = stdout, tables suppressed")
 	queueFlag := fs.String("queue", "", "DES kernel timing queue: 'ladder' (default) or 'heap'; empty = $DES_QUEUE, then the kernel default. Results are byte-identical either way")
 	forkFlag := fs.String("fork", "", "warm-fork replication: 'on' (default) checkpoints each seed family's warmed prefix and restores it per replicate, 'off' re-simulates the prefix; empty = $DES_FORK, then on. Results are byte-identical either way")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run ends (pprof format)")
+	prof := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -322,7 +282,7 @@ func run(args []string) (err error) {
 	default:
 		return fmt.Errorf("unknown -fork value %q (want 'on' or 'off')", forkName)
 	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := prof.Start()
 	if err != nil {
 		return err
 	}

@@ -25,6 +25,7 @@ func TestRunErrorPaths(t *testing.T) {
 		{"json target is a directory", []string{"-quick", "-exp", "E2", "-json", t.TempDir()}, "is a directory"},
 		{"unwritable cpu profile", []string{"-quick", "-exp", "E2", "-cpuprofile", filepath.Join(t.TempDir(), "no-such-dir", "cpu.out")}, "-cpuprofile"},
 		{"unwritable heap profile", []string{"-quick", "-exp", "E2", "-memprofile", filepath.Join(t.TempDir(), "no-such-dir", "mem.out")}, "-memprofile"},
+		{"unwritable execution trace", []string{"-quick", "-exp", "E2", "-trace", filepath.Join(t.TempDir(), "no-such-dir", "trace.out")}, "-trace"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -40,15 +41,15 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
-// TestProfileFlagsWriteProfiles checks that -cpuprofile and -memprofile
-// each leave a non-empty pprof file behind and leave the report's
+// TestProfileFlagsWriteProfiles checks that -cpuprofile, -memprofile and
+// -trace each leave a non-empty file behind and leave the report's
 // deterministic fields untouched.
 func TestProfileFlagsWriteProfiles(t *testing.T) {
 	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	cpu, mem, tr := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out"), filepath.Join(dir, "trace.out")
 	plain := readExperiments(t, []string{"-quick", "-exp", "E2"})
-	profiled := readExperiments(t, []string{"-quick", "-exp", "E2", "-cpuprofile", cpu, "-memprofile", mem})
-	for _, path := range []string{cpu, mem} {
+	profiled := readExperiments(t, []string{"-quick", "-exp", "E2", "-cpuprofile", cpu, "-memprofile", mem, "-trace", tr})
+	for _, path := range []string{cpu, mem, tr} {
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatalf("profile not written: %v", err)

@@ -9,6 +9,7 @@
 //
 //	fdload [-peers N] [-shards LIST] [-senders S] [-interval D] [-dur D]
 //	       [-kill N] [-estimator heartbeat|phi] [-json FILE] [-v]
+//	       [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //
 // The topology is one monitor process and S sender processes, each a real
 // tcpnet.Transport on 127.0.0.1. The N monitored peers are *logical*: each
@@ -30,6 +31,11 @@
 // the repository root is a committed run of this tool at the acceptance
 // configuration (-peers 10000 -shards 1,4,16); CI regenerates a smoke-size
 // run on every push and structurally validates the committed file.
+//
+// -cpuprofile, -memprofile and -trace profile the whole invocation, as in
+// fdbench: a CPU profile and a heap profile taken at the end (pprof format)
+// and an execution trace (runtime/trace format). The trace shows the
+// sender, writer and shard goroutines side by side.
 //
 // Unlike fdbench, numbers here are wall-clock measurements of a real
 // concurrent system and are NOT byte-reproducible across runs or machines;
@@ -55,6 +61,7 @@ import (
 	"asyncfd/internal/liveshard"
 	"asyncfd/internal/node"
 	"asyncfd/internal/phiaccrual"
+	"asyncfd/internal/profiling"
 	"asyncfd/internal/qos"
 	"asyncfd/internal/tcpnet"
 	"asyncfd/internal/trace"
@@ -126,7 +133,7 @@ type row struct {
 	WallMS int64 `json:"wall_ms"`
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("fdload", flag.ContinueOnError)
 	cfg := config{}
 	var shardList string
@@ -139,6 +146,7 @@ func run(args []string) error {
 	fs.StringVar(&cfg.estimator, "estimator", "heartbeat", "per-peer estimator: heartbeat|phi")
 	fs.StringVar(&cfg.jsonPath, "json", "", "write JSON report to FILE (\"-\" = stdout)")
 	fs.BoolVar(&cfg.verbose, "v", false, "log per-phase progress to stderr")
+	prof := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -159,6 +167,15 @@ func run(args []string) error {
 		return err
 	}
 	cfg.shards = shards
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 
 	rep := report{
 		Schema:     "asyncfd-livebench/v1",

@@ -21,6 +21,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{"bad shards", []string{"-shards", "1,zero"}, "-shards"},
 		{"empty shards", []string{"-shards", ","}, "-shards"},
 		{"unknown estimator", []string{"-estimator", "oracle"}, "estimator"},
+		{"unwritable cpu profile", []string{"-cpuprofile", filepath.Join(t.TempDir(), "no-such-dir", "cpu.out")}, "-cpuprofile"},
+		{"unwritable execution trace", []string{"-trace", filepath.Join(t.TempDir(), "no-such-dir", "trace.out")}, "-trace"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -114,5 +116,33 @@ func TestPhiEstimatorSmoke(t *testing.T) {
 	}
 	if rep.Rows[0].Missed != 0 {
 		t.Errorf("φ estimator missed %d of %d killed peers", rep.Rows[0].Missed, rep.Rows[0].Killed)
+	}
+}
+
+// TestProfileFlagsWriteProfiles runs a tiny load under -cpuprofile,
+// -memprofile and -trace and checks each leaves a non-empty file behind.
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket load run")
+	}
+	dir := t.TempDir()
+	cpu, mem, tr := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out"), filepath.Join(dir, "trace.out")
+	args := []string{
+		"-peers", "20", "-senders", "1", "-shards", "1",
+		"-interval", "100ms", "-dur", "300ms", "-kill", "1",
+		"-json", filepath.Join(dir, "live.json"),
+		"-cpuprofile", cpu, "-memprofile", mem, "-trace", tr,
+	}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem, tr} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", path)
+		}
 	}
 }

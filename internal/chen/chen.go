@@ -74,6 +74,9 @@ type peerState struct {
 	sumSeq     uint64
 	suspected  bool
 	timer      node.Timer
+	// fire raises the suspicion when the deadline passes. It is built once
+	// per peer, so re-arming on every heartbeat allocates nothing.
+	fire func()
 	// bootstrap marks a window holding only the synthetic restart sample;
 	// the first real heartbeat replaces it wholesale, because mixing the
 	// restart-era sample with post-restart sequence numbers would corrupt
@@ -87,6 +90,7 @@ type Node struct {
 	env     node.Env //fdlint:allow clonefields immutable wiring, set once at construction
 	cfg     Config   //fdlint:allow clonefields immutable config, set once at construction
 	peers   node.DenseMap[*peerState]
+	tick    func() //fdlint:allow clonefields immutable heartbeat callback, built once at construction
 	seq     uint64
 	stopped bool
 	beat    node.Timer
@@ -106,9 +110,24 @@ func NewNode(env node.Env, cfg Config) (*Node, error) {
 		cfg.WindowSize = 100
 	}
 	n := &Node{env: env, cfg: cfg}
+	n.tick = func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.tickLocked()
+	}
 	cfg.Peers.ForEach(func(p ident.ID) bool {
 		if p != cfg.Self {
-			n.peers.Put(p, &peerState{})
+			st := &peerState{}
+			st.fire = func() {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				if n.stopped || st.suspected {
+					return
+				}
+				st.suspected = true
+				n.emitLocked(p, true)
+			}
+			n.peers.Put(p, st)
 		}
 		return true
 	})
@@ -130,7 +149,7 @@ func (n *Node) Start() {
 			return true
 		}
 		st.push(sample{seq: 0, arrival: now}, n.cfg.WindowSize)
-		n.armLocked(p, st)
+		n.armLocked(st)
 		return true
 	})
 	n.tickLocked()
@@ -167,10 +186,10 @@ func (n *Node) Restart(fresh bool) {
 			if st.suspected {
 				n.emitLocked(p, false)
 			}
-			*st = peerState{bootstrap: true}
+			*st = peerState{bootstrap: true, fire: st.fire}
 			st.push(sample{seq: 0, arrival: now}, n.cfg.WindowSize)
 		}
-		n.armLocked(p, st)
+		n.armLocked(st)
 		return true
 	})
 	n.tickLocked()
@@ -238,29 +257,15 @@ func (n *Node) tickLocked() {
 	}
 	n.seq++
 	n.env.Broadcast(Message{From: n.env.Self(), Seq: n.seq})
-	n.beat = n.env.After(n.cfg.Interval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.tickLocked()
-	})
+	n.beat = n.env.After(n.cfg.Interval, n.tick)
 }
 
-// armLocked schedules the suspicion deadline EA + α for peer p.
-func (n *Node) armLocked(p ident.ID, st *peerState) {
-	if st.timer != nil {
-		st.timer.Stop()
-	}
+// armLocked schedules the suspicion deadline EA + α for a peer. A pending
+// deadline that moves later is postponed in place; one that moves earlier
+// is stopped and armed anew (node.Rearm).
+func (n *Node) armLocked(st *peerState) {
 	deadline := st.expectedArrival(n.cfg.Interval) + n.cfg.Alpha
-	wait := deadline - n.env.Now()
-	st.timer = n.env.After(wait, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.stopped || st.suspected {
-			return
-		}
-		st.suspected = true
-		n.emitLocked(p, true)
-	})
+	st.timer = node.Rearm(n.env, st.timer, deadline-n.env.Now(), st.fire)
 }
 
 // Deliver implements node.Handler.
@@ -294,7 +299,7 @@ func (n *Node) Deliver(from ident.ID, payload any) {
 		st.suspected = false
 		n.emitLocked(from, false)
 	}
-	n.armLocked(from, st)
+	n.armLocked(st)
 }
 
 func (n *Node) emitLocked(subject ident.ID, suspected bool) {
@@ -305,9 +310,9 @@ func (n *Node) emitLocked(subject ident.ID, suspected bool) {
 
 // snapshot is the node.Cloneable checkpoint: one deep-copied peerState per
 // peer plus the sender-side counters. The suspicion-deadline timer handles
-// are shared by value — armLocked closures capture the live *peerState, and
-// the paired kernel snapshot revalidates the handles — so Restore writes
-// back into the SAME peerState objects those closures hold.
+// are shared by value — each peer's fire callback captures the live
+// *peerState, and the paired kernel snapshot revalidates the handles — so
+// Restore writes back into the SAME peerState objects those closures hold.
 type snapshot struct {
 	peers   map[ident.ID]peerState
 	seq     uint64

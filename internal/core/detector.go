@@ -305,7 +305,8 @@ func (d *Detector) BeginRound() Query {
 	}
 	d.round++
 	d.roundOpen = true
-	d.recFrom = ident.SetOf(d.self)
+	d.recFrom.Clear() // reuse the storage; EndRound hands out a clone
+	d.recFrom.Add(d.self)
 	return Query{
 		From:      d.self,
 		Round:     d.round,

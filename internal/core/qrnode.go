@@ -48,7 +48,14 @@ type Node struct {
 	stopped bool
 	pending node.Timer // end-of-round or next-round timer
 	requery node.Timer // optional rebroadcast timer
+	query   Query      // the current round's query, re-sent by requery
 	rounds  uint64
+
+	// The timer callbacks, built once in NewNode so a round allocates no
+	// closures.
+	endRound  func() //fdlint:allow clonefields immutable callback, built once at construction
+	nextRound func() //fdlint:allow clonefields immutable callback, built once at construction
+	resend    func() //fdlint:allow clonefields immutable callback, built once at construction
 }
 
 var _ node.Handler = (*Node)(nil)
@@ -63,6 +70,27 @@ func NewNode(env node.Env, cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("core: env identity %v != detector identity %v", env.Self(), cfg.Detector.Self)
 	}
 	n := &Node{env: env, cfg: cfg}
+	n.endRound = func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.finishRoundLocked()
+	}
+	n.nextRound = func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.pending = nil
+		n.startRoundLocked()
+	}
+	n.resend = func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		q := n.query
+		if n.stopped || !n.det.RoundOpen() || n.det.Round() != q.Round || n.det.QuorumMet() {
+			return
+		}
+		n.env.Broadcast(q)
+		n.armRequeryLocked()
+	}
 	detCfg := cfg.Detector
 	detCfg.Observer = (*nodeObserver)(n)
 	det, err := NewDetector(detCfg)
@@ -201,6 +229,7 @@ type snapshot struct {
 	stopped bool
 	pending node.Timer
 	requery node.Timer
+	query   Query
 	rounds  uint64
 }
 
@@ -213,6 +242,7 @@ func (n *Node) Snapshot() any {
 		stopped: n.stopped,
 		pending: n.pending,
 		requery: n.requery,
+		query:   n.query,
 		rounds:  n.rounds,
 	}
 }
@@ -226,6 +256,7 @@ func (n *Node) Restore(snap any) {
 	n.stopped = s.stopped
 	n.pending = s.pending
 	n.requery = s.requery
+	n.query = s.query
 	n.rounds = s.rounds
 }
 
@@ -250,26 +281,19 @@ func (n *Node) startRoundLocked() {
 		return
 	}
 	n.pending = nil
-	q := n.det.BeginRound()
-	n.env.Broadcast(q)
-	n.armRequeryLocked(q)
+	n.query = n.det.BeginRound()
+	n.env.Broadcast(n.query)
+	n.armRequeryLocked()
 	n.maybeCloseRoundLocked() // quorum of 1 (own response) is possible
 }
 
-// armRequeryLocked schedules a rebroadcast of q while its quorum is unmet.
-func (n *Node) armRequeryLocked(q Query) {
+// armRequeryLocked schedules a rebroadcast of the current query while its
+// quorum is unmet.
+func (n *Node) armRequeryLocked() {
 	if n.cfg.Rebroadcast <= 0 {
 		return
 	}
-	n.requery = n.env.After(n.cfg.Rebroadcast, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.stopped || !n.det.RoundOpen() || n.det.Round() != q.Round || n.det.QuorumMet() {
-			return
-		}
-		n.env.Broadcast(q)
-		n.armRequeryLocked(q)
-	})
+	n.requery = n.env.After(n.cfg.Rebroadcast, n.resend)
 }
 
 // maybeCloseRoundLocked arms the end-of-round step once the quorum is met.
@@ -278,11 +302,7 @@ func (n *Node) maybeCloseRoundLocked() {
 		return
 	}
 	n.stopRequeryLocked()
-	n.pending = n.env.After(n.cfg.Window, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.finishRoundLocked()
-	})
+	n.pending = n.env.After(n.cfg.Window, n.endRound)
 }
 
 func (n *Node) finishRoundLocked() {
@@ -296,10 +316,5 @@ func (n *Node) finishRoundLocked() {
 		panic(fmt.Sprintf("core: EndRound: %v", err))
 	}
 	n.rounds++
-	n.pending = n.env.After(n.cfg.Interval, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		n.pending = nil
-		n.startRoundLocked()
-	})
+	n.pending = n.env.After(n.cfg.Interval, n.nextRound)
 }

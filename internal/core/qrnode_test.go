@@ -7,6 +7,7 @@ import (
 	"asyncfd/internal/des"
 	"asyncfd/internal/ident"
 	"asyncfd/internal/netsim"
+	"asyncfd/internal/node"
 	"asyncfd/internal/trace"
 )
 
@@ -299,5 +300,67 @@ func TestNodeRestartPersistedAbandonsInFlightRound(t *testing.T) {
 		if nd.IsSuspected(3) {
 			t.Errorf("p%d still suspects the recovered p3", i)
 		}
+	}
+}
+
+// roundEnv is a node.Env that sends nothing and holds the last armed
+// callback instead of scheduling it, so a test can step a node round by
+// round and measure only the node's own allocation.
+type roundEnv struct{ armed func() }
+
+type roundTimer struct{}
+
+func (roundTimer) Stop() bool { return false }
+
+var sharedRoundTimer node.Timer = roundTimer{}
+
+func (e *roundEnv) Self() ident.ID     { return 0 }
+func (e *roundEnv) Now() time.Duration { return 0 }
+func (e *roundEnv) After(_ time.Duration, fn func()) node.Timer {
+	e.armed = fn
+	return sharedRoundTimer
+}
+func (e *roundEnv) Send(ident.ID, any) {}
+func (e *roundEnv) Broadcast(any)      {}
+
+// fire runs the armed callback, which arms the next one.
+func (e *roundEnv) fire() {
+	fn := e.armed
+	e.armed = nil
+	fn()
+}
+
+// TestRoundAllocations pins what one full query round allocates: the round
+// needs a quorum of two (its own response and p1's), then the end-of-round
+// and next-round timers fire. The timer callbacks are built once and the
+// response set is reused, so what remains is the QUERY's suspected entries
+// (p2 never answers), the QUERY boxed for Broadcast and EndRound's copy of
+// the response set.
+func TestRoundAllocations(t *testing.T) {
+	env := &roundEnv{}
+	nd, err := NewNode(env, NodeConfig{
+		Detector: Config{Self: 0, Membership: KnownMembership, N: 3, F: 1},
+		Window:   time.Millisecond,
+		Interval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start()
+	responses := make([]any, 256)
+	for r := range responses {
+		responses[r] = Response{From: 1, Round: uint64(r + 1)}
+	}
+	round := func() {
+		nd.Deliver(1, responses[nd.Detector().Round()-1]) // quorum met: arms end-of-round
+		env.fire()                                        // end of round: arms the next
+		env.fire()                                        // next round: broadcasts its query
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs > 3 {
+		t.Errorf("one query round allocates %v times, want at most 3", allocs)
+	}
+	if got := nd.Rounds(); got != 102 {
+		t.Fatalf("ran %d rounds, want 102", got)
 	}
 }

@@ -9,6 +9,11 @@
 // with Post/Batch and handed on firing to the simulator's one message sink
 // (see BindSink) — the network layer that owns delivery.
 //
+// A pending timer can be moved to a later deadline in place with
+// Timer.Postpone instead of Stop followed by After: the fire order is exactly
+// the same, but the re-arm takes no new slab slot, allocates no handle and
+// leaves no stopped slot behind for the queue to reap.
+//
 // The kernel is built for throughput: events live in a slab recycled through
 // a free list (no per-event heap allocation in steady state), same-instant
 // bursts drain through a FIFO ready bucket instead of churning the timing
@@ -40,16 +45,28 @@ var (
 // recycled through a free list; gen invalidates stale Timer handles when a
 // slot is reused. For batch nodes, (at, seq) always hold the key of the
 // earliest unfired item. A message's data lives in the parallel msgs slab,
-// not here, so the header stays small for timer-heavy workloads.
+// not here, so the header stays small (64 B) for timer-heavy workloads.
+//
+// (at, seq) is the key the event is queued under. A postponed timer keeps
+// it while queued — a queued key never changes — and its real, later key
+// waits in the parallel keys slab until the slot surfaces at a queue head,
+// where reapStoppedHeads re-keys and re-queues it.
 type event struct {
-	at      time.Duration
-	seq     uint64
-	fn      func() // timer callback; nil for messages
-	gen     uint32
-	stopped bool
-	msg     bool        // message or batch node: msgs[slot] holds its data
-	items   []batchItem // non-nil for batch fan-out nodes
-	head    int         // next unfired batch item
+	at        time.Duration
+	seq       uint64
+	fn        func() // timer callback; nil for messages
+	gen       uint32
+	stopped   bool
+	msg       bool        // message or batch node: msgs[slot] holds its data
+	postponed bool        // keys[slot] holds the timer's real key
+	items     []batchItem // non-nil for batch fan-out nodes
+	head      int         // next unfired batch item
+}
+
+// eventKey is a postponed timer's real (at, seq) key, kept in the keys slab.
+type eventKey struct {
+	at  time.Duration
+	seq uint64
 }
 
 // message is the data of an in-flight message or batch node, kept in the
@@ -76,7 +93,9 @@ type Hop struct {
 // noEvent marks an empty slab reference.
 const noEvent = int32(-1)
 
-// Timer is a handle to a scheduled event.
+// Timer is a handle to a scheduled timer. Stop cancels it; Postpone moves it
+// to a later deadline. Both act only while the timer is pending: once it has
+// fired or been stopped, the handle is inert.
 type Timer struct {
 	s   *Simulator
 	idx int32
@@ -98,6 +117,47 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// Postpone moves a pending timer to d from now, reporting whether it did.
+// Negative delays clamp to zero, as in After. The timer takes the sequence
+// number an After call would take at this instant, so its (at, seq) key —
+// and with it the fire order of everything in the kernel, including the
+// seqs of later events — is exactly that of Stop followed by After with the
+// same callback. Unlike that pair, Postpone keeps the timer's slot and
+// handle: it allocates nothing and schedules nothing new.
+//
+// Postpone declines, returning false and changing nothing, when the timer
+// has fired or been stopped, or when the new deadline is earlier than the
+// current one (a move forward in the fire order cannot be done in place);
+// callers then fall back to Stop and After.
+func (t *Timer) Postpone(d time.Duration) bool {
+	if t == nil || t.s == nil {
+		return false
+	}
+	s := t.s
+	e := &s.events[t.idx]
+	if e.gen != t.gen || e.stopped {
+		return false
+	}
+	at := s.now + max(d, 0)
+	if at < s.now { // Duration overflow: After clamps it to now
+		at = s.now
+	}
+	cur := e.at
+	if e.postponed {
+		cur = s.keys[t.idx].at
+	}
+	if at < cur {
+		return false
+	}
+	if int(t.idx) >= len(s.keys) {
+		s.keys = append(s.keys, make([]eventKey, len(s.events)-len(s.keys))...)
+	}
+	s.keys[t.idx] = eventKey{at: at, seq: s.seq}
+	s.seq++
+	e.postponed = true
+	return true
+}
+
 // Simulator is the event loop. It is strictly single-threaded: all timer
 // closures and message deliveries run on the goroutine that calls
 // Step/Run/RunUntil, so simulated components need no locking.
@@ -116,6 +176,9 @@ type Simulator struct {
 	// msgs holds message data by slab slot. It grows only when a message
 	// lands in a slot beyond its end, so timer-only runs never allocate it.
 	msgs []message
+	// keys holds postponed timers' real keys by slab slot, grown like msgs
+	// on the first Postpone into a slot beyond its end.
+	keys []eventKey
 	// sink delivers every fired message (see BindSink).
 	sink func(from, to int32, msg any) //fdlint:allow clonefields immutable wiring, bound once (netsim.New) and shared by Fork
 
@@ -169,7 +232,9 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Steps() uint64 { return s.stepped }
 
 // Pending returns the number of timers and messages currently scheduled
-// (including stopped-but-unreclaimed timers).
+// (including stopped-but-unreclaimed timers). A postponed timer counts once:
+// where Stop followed by After leaves a stopped slot counted until the queue
+// reaps it, plus the new one, Postpone moves the timer in place.
 func (s *Simulator) Pending() int { return s.pending }
 
 // BindSink makes sink the receiver of every message this simulator fires.
@@ -211,6 +276,7 @@ func (s *Simulator) release(i int32) {
 	}
 	e.head = 0
 	e.stopped = false
+	e.postponed = false
 	e.gen++
 	s.free = append(s.free, i)
 }
@@ -366,18 +432,52 @@ func (s *Simulator) fifoPop() int32 {
 }
 
 // reapStoppedHeads reclaims stopped events sitting at the head of the fifo
-// bucket or the timing queue, so pop and peek always see a live minimum.
+// bucket or the timing queue, and re-keys postponed ones there, so pop and
+// peek always see a live minimum under its real key. Like a reap, a re-key
+// is not a Step.
 func (s *Simulator) reapStoppedHeads() {
-	for {
-		f := s.fifoPeek()
-		if f == noEvent || !s.events[f].stopped {
-			break
-		}
-		s.fifoPop()
-		s.pending--
-		s.release(f)
+	for f := s.fifoPeek(); f != noEvent && !s.settled(f); f = s.fifoPeek() {
+		s.retire(s.fifoPop())
 	}
 	s.queue.reap()
+}
+
+// settled reports whether queued slot i is live under its real key: neither
+// stopped nor postponed.
+func (s *Simulator) settled(i int32) bool {
+	e := &s.events[i]
+	return !e.stopped && !e.postponed
+}
+
+// retire deals with unsettled slot i, just taken off a queue head: a stopped
+// event is released, a postponed timer re-queued under its real key.
+func (s *Simulator) retire(i int32) {
+	if s.events[i].stopped {
+		s.pending--
+		s.release(i)
+		return
+	}
+	s.requeue(i)
+}
+
+// requeue gives postponed slot i its real key and queues it again. A
+// postponed key is never earlier than the queued one, so the slot surfaces
+// at a head no later than its real key would. A same-instant slot joins the
+// ready bucket at its seq's position, since other events may have joined it
+// since the Postpone.
+func (s *Simulator) requeue(i int32) {
+	e := &s.events[i]
+	k := s.keys[i]
+	e.at, e.seq, e.postponed = k.at, k.seq, false
+	if e.at != s.now {
+		s.queue.push(i)
+		return
+	}
+	live := s.fifo[s.fifoHead:]
+	pos, _ := slices.BinarySearchFunc(live, e.seq, func(j int32, seq uint64) int {
+		return cmp.Compare(s.events[j].seq, seq)
+	})
+	s.fifo = slices.Insert(s.fifo, s.fifoHead+pos, i)
 }
 
 // popMin removes and returns the live event with the smallest (at, seq) key,

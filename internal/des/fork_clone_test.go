@@ -62,16 +62,16 @@ func structuralFingerprint(s *Simulator) string {
 	fmt.Fprintf(&b, "now=%d seq=%d stepped=%d pending=%d halted=%v\n", s.now, s.seq, s.stepped, s.pending, s.halted)
 	fmt.Fprintf(&b, "free=%v fifo=%v fifoHead=%d front=%d\n", s.free, s.fifo, s.fifoHead, s.front)
 	for i, e := range s.events {
-		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v msg=%v items=%v head=%d fn=%v\n",
-			i, e.at, e.seq, e.gen, e.stopped, e.msg, e.items, e.head, e.fn != nil)
+		fmt.Fprintf(&b, "ev%d at=%d seq=%d gen=%d stopped=%v msg=%v postponed=%v items=%v head=%d fn=%v\n",
+			i, e.at, e.seq, e.gen, e.stopped, e.msg, e.postponed, e.items, e.head, e.fn != nil)
 	}
-	fmt.Fprintf(&b, "msgs=%v\n", s.msgs)
+	fmt.Fprintf(&b, "msgs=%v\nkeys=%v\n", s.msgs, s.keys)
 	return b.String()
 }
 
 // loadSim builds a simulator mid-run with every structural feature present:
-// recycled free slots, a part-drained FIFO, stopped entries, in-flight
-// messages, batch nodes and far-horizon timers.
+// recycled free slots, a part-drained FIFO, stopped entries, a postponed
+// timer, in-flight messages, batch nodes and far-horizon timers.
 func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
 	s = New(7, WithQueue(kind))
 	fired = new(int)
@@ -90,7 +90,9 @@ func loadSim(kind QueueKind) (s *Simulator, fired *int, stopped int) {
 	}
 	s.Batch(9, "fanout", hops)
 	stop := s.After(4500*time.Microsecond, bump)
-	s.RunUntil(2 * time.Millisecond) // recycle a few slots onto the free list
+	later := s.After(3*time.Millisecond, bump)
+	s.RunUntil(2 * time.Millisecond)      // recycle a few slots onto the free list
+	later.Postpone(20 * time.Millisecond) // queued at 3ms, due at 22ms
 	// Stopped events stay on Pending()'s count until the kernel reaps them.
 	for _, tm := range []*Timer{stop, far} {
 		if tm.Stop() {

@@ -52,10 +52,8 @@ const (
 	ladderSpawnLen = 48
 	// ladderMaxRungs caps subdivision depth; past it (or at 1ns width)
 	// buckets just sort, which is still correct and never pathological for
-	// the widths that remain.
+	// the widths that remain. It also bounds the spare bucket-array pool.
 	ladderMaxRungs = 10
-	// ladderSpareCap bounds the recycled-bucket pool.
-	ladderSpareCap = 1 << 12
 )
 
 // ladderRung is one rung: fixed-width buckets over [start, end). The last
@@ -108,9 +106,9 @@ type ladderQueue struct {
 	top            []int32
 	topMin, topMax time.Duration
 
-	// spare recycles bucket slices of dropped rungs across re-spawns, so a
-	// steady-state workload stops allocating.
-	spare [][]int32
+	// spare recycles the bucket arrays of dropped rungs whole, each bucket
+	// keeping its capacity, so steady-state re-spawns allocate nothing.
+	spare [][][]int32
 }
 
 func (q *ladderQueue) len() int { return q.size }
@@ -351,26 +349,52 @@ func (q *ladderQueue) newRung(start, end time.Duration, count int) ladderRung {
 	return ladderRung{start: start, end: end, width: width, buckets: q.takeBuckets(n)}
 }
 
-// takeBuckets builds a bucket array of length n, refilling entries from the
-// spare pool so steady-state re-spawns reuse earlier years' storage.
+// takeBuckets returns an array of n empty buckets, reusing a spare one so a
+// steady-state workload cycles the same arrays — and the buckets' own
+// storage — through every re-spawn. It takes the smallest spare that holds
+// n, or else grows the largest.
 func (q *ladderQueue) takeBuckets(n int) [][]int32 {
-	bk := make([][]int32, n)
-	m := len(q.spare)
-	for k := 0; k < n && m > 0; k++ {
-		m--
-		bk[k] = q.spare[m]
+	best := -1
+	for k, bk := range q.spare {
+		if best < 0 || betterSpare(cap(bk), cap(q.spare[best]), n) {
+			best = k
+		}
 	}
-	q.spare = q.spare[:m]
-	return bk
+	if best < 0 {
+		return make([][]int32, n)
+	}
+	bk := q.spare[best]
+	last := len(q.spare) - 1
+	q.spare[best] = q.spare[last]
+	q.spare[last] = nil
+	q.spare = q.spare[:last]
+	if cap(bk) < n {
+		bk = bk[:cap(bk)]
+		bk = slices.Grow(bk, n-len(bk))
+	}
+	return bk[:n]
 }
 
-// dropRung removes the deepest (exhausted) rung, pooling its bucket slices.
+// betterSpare reports whether a spare array of capacity a suits n buckets
+// better than one of capacity b: holding n beats not holding it, then the
+// smaller of two that hold n wins, and the larger of two that do not.
+func betterSpare(a, b, n int) bool {
+	if (a >= n) != (b >= n) {
+		return a >= n
+	}
+	if a >= n {
+		return a < b
+	}
+	return a > b
+}
+
+// dropRung removes the deepest (exhausted) rung and pools its bucket array.
+// An exhausted rung's buckets are all empty — each was emptied as it was
+// taken or subdivided — and keep their storage for the array's next use.
 func (q *ladderQueue) dropRung() {
 	k := len(q.rungs) - 1
-	for _, b := range q.rungs[k].buckets {
-		if cap(b) > 0 && len(q.spare) < ladderSpareCap {
-			q.spare = append(q.spare, b[:0])
-		}
+	if len(q.spare) < ladderMaxRungs {
+		q.spare = append(q.spare, q.rungs[k].buckets)
 	}
 	q.rungs[k] = ladderRung{}
 	q.rungs = q.rungs[:k]

@@ -82,13 +82,17 @@ func WithQueue(k QueueKind) Option {
 //   - push is only ever called with an index whose at is strictly greater
 //     than the simulator's now at call time (same-instant events go to the
 //     ready bucket instead), and an index's key never mutates while queued
-//     (batch nodes re-key only between a pop and the following push);
+//     (batch nodes and postponed timers re-key only between a pop and the
+//     following push);
 //   - popMin/peekMin return the queued index with the smallest (at, seq)
-//     key, or noEvent when empty — stopped events included, so Stop stays
-//     O(1) and reclamation is the head-reaping below;
-//   - reap pops and releases stopped events for as long as one sits at the
-//     head, so peek/pop always expose a live minimum and Pending() converges
-//     identically under every implementation;
+//     key, or noEvent when empty — stopped and postponed events included,
+//     so Stop and Postpone stay O(1) and the head-reaping below does the
+//     rest;
+//   - reap pops and releases stopped events, and re-keys postponed ones
+//     (Simulator.requeue, which may push them back), for as long as one
+//     sits at the head, so peek/pop always expose a live minimum under its
+//     real key and Pending() converges identically under every
+//     implementation;
 //   - len reports the queued element count (stopped-but-unreclaimed
 //     included), used by invariant checks and tests;
 //   - clone returns a deep copy of the ordering state bound to owner's slab,
@@ -112,18 +116,13 @@ func newEventQueue(k QueueKind, s *Simulator) eventQueue {
 }
 
 // reapHead is the shared head-reaping loop behind eventQueue.reap: both
-// implementations reclaim stopped events exactly when they surface as the
-// queue minimum, so the observable Pending() trajectory is identical
-// whichever queue runs.
+// implementations reclaim stopped events, and re-key postponed ones, exactly
+// when they surface as the queue minimum, so the observable Pending()
+// trajectory is identical whichever queue runs.
 func reapHead(s *Simulator, q eventQueue) {
-	for {
-		i := q.peekMin()
-		if i == noEvent || !s.events[i].stopped {
-			return
-		}
+	for i := q.peekMin(); i != noEvent && !s.settled(i); i = q.peekMin() {
 		q.popMin()
-		s.pending--
-		s.release(i)
+		s.retire(i)
 	}
 }
 

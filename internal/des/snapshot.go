@@ -3,9 +3,9 @@ package des
 // snapshot.go is the kernel's checkpoint/fork primitive. A Snapshot captures
 // the complete observable state of a Simulator — virtual clock, sequence
 // counter, the event slab (including per-event batch hop storage), the
-// in-flight message data, the free list, the ready bucket and front slot,
-// the timing queue, and the random stream position — so a warmed simulation
-// can be rolled back and re-run, or cloned outright.
+// in-flight message data, postponed timers' keys, the free list, the ready
+// bucket and front slot, the timing queue, and the random stream position —
+// so a warmed simulation can be rolled back and re-run, or cloned outright.
 //
 // Messages are plain (from, to, msg) data, copied like the rest of the slab;
 // only timers are closures. Two verbs, two use cases:
@@ -106,6 +106,7 @@ type Snapshot struct {
 	draws    uint64
 	events   []event
 	msgs     []message
+	keys     []eventKey
 	free     []int32
 	fifo     []int32
 	fifoHead int
@@ -132,7 +133,8 @@ func cloneEvents(src []event) []event {
 
 // Snapshot captures the simulator's complete state. The checkpoint shares
 // nothing mutable with the live kernel: the slab (with batch hop storage),
-// message data, free list, ready bucket and timing queue are all deep copies.
+// message data, postponed keys, free list, ready bucket and timing queue are
+// all deep copies.
 func (s *Simulator) Snapshot() *Snapshot {
 	return &Snapshot{
 		now:      s.now,
@@ -144,6 +146,7 @@ func (s *Simulator) Snapshot() *Snapshot {
 		draws:    s.src.draws,
 		events:   cloneEvents(s.events),
 		msgs:     append([]message(nil), s.msgs...),
+		keys:     append([]eventKey(nil), s.keys...),
 		free:     append([]int32(nil), s.free...),
 		fifo:     append([]int32(nil), s.fifo...),
 		fifoHead: s.fifoHead,
@@ -196,6 +199,7 @@ func (s *Simulator) Restore(snap *Snapshot) {
 	s.halted = snap.halted
 	s.restoreEvents(snap.events)
 	s.msgs = append(s.msgs[:0], snap.msgs...)
+	s.keys = append(s.keys[:0], snap.keys...)
 	s.free = append(s.free[:0], snap.free...)
 	s.fifo = append(s.fifo[:0], snap.fifo...)
 	s.fifoHead = snap.fifoHead
@@ -221,6 +225,7 @@ func (s *Simulator) Fork() *Simulator {
 		queueKind: s.queueKind,
 		events:    cloneEvents(s.events),
 		msgs:      append([]message(nil), s.msgs...),
+		keys:      append([]eventKey(nil), s.keys...),
 		sink:      s.sink,
 		free:      append([]int32(nil), s.free...),
 		fifo:      append([]int32(nil), s.fifo...),

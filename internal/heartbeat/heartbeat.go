@@ -186,12 +186,11 @@ func (n *Node) tickLocked() {
 	n.beat = n.env.After(n.cfg.Interval, n.tick)
 }
 
-// armLocked (re)arms the expiry timer of one peer.
+// armLocked (re)arms the expiry timer of one peer. On the simulator a
+// pending expiry is postponed in place (node.Rearm), so a steady-state
+// heartbeat delivery allocates nothing and schedules nothing new.
 func (n *Node) armLocked(st *peerState) {
-	if st.expiry != nil {
-		st.expiry.Stop()
-	}
-	st.expiry = n.env.After(n.cfg.Timeout, st.fire)
+	st.expiry = node.Rearm(n.env, st.expiry, n.cfg.Timeout, st.fire)
 }
 
 // Deliver implements node.Handler.

@@ -1,7 +1,9 @@
 package heartbeat
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +58,13 @@ type hbCluster struct {
 
 func newHBCluster(t *testing.T, n int, delay netsim.DelayModel, interval, timeout time.Duration) *hbCluster {
 	t.Helper()
+	return newHBClusterEnv(t, n, delay, interval, timeout, func(e node.Env) node.Env { return e })
+}
+
+// newHBClusterEnv is newHBCluster with every node's environment passed
+// through wrap.
+func newHBClusterEnv(t *testing.T, n int, delay netsim.DelayModel, interval, timeout time.Duration, wrap func(node.Env) node.Env) *hbCluster {
+	t.Helper()
 	c := &hbCluster{sim: des.New(1), log: &trace.Log{}}
 	c.net = netsim.New(c.sim, netsim.Config{Delay: delay})
 	peers := ident.FullSet(n)
@@ -63,7 +72,7 @@ func newHBCluster(t *testing.T, n int, delay netsim.DelayModel, interval, timeou
 	for i := 0; i < n; i++ {
 		id := ident.ID(i)
 		var nd *Node
-		env := c.net.AddNode(id, proxy{&nd})
+		env := wrap(c.net.AddNode(id, proxy{&nd}))
 		var err error
 		nd, err = NewNode(env, Config{Self: id, Peers: peers, Interval: interval, Timeout: timeout, Sink: c.log})
 		if err != nil {
@@ -535,5 +544,72 @@ func TestSnapshotRestoreRewindsDivergence(t *testing.T) {
 		if gotTrace[i] != wantTrace[i] {
 			t.Fatalf("trace event %d after restore = %+v, never-diverged %+v", i, gotTrace[i], wantTrace[i])
 		}
+	}
+}
+
+// TestNetsimDeliverPostponesInPlace pins the re-arm on the simulator: a
+// heartbeat delivery on a real netsim.Env postpones the peer's pending
+// expiry, so it allocates nothing and schedules nothing new.
+func TestNetsimDeliverPostponesInPlace(t *testing.T) {
+	c := newHBCluster(t, 4, netsim.Constant{D: time.Millisecond}, time.Second, 2*time.Second)
+	c.sim.RunUntil(1500 * time.Millisecond)
+	nd := c.nodes[0]
+	var msg any = Message{From: 2, Seq: 1}
+	pending := c.sim.Pending()
+	if a := testing.AllocsPerRun(100, func() { nd.Deliver(2, msg) }); a != 0 {
+		t.Errorf("Deliver on netsim allocates %v times per call, want 0", a)
+	}
+	if got := c.sim.Pending(); got != pending {
+		t.Errorf("Pending() = %d after deliveries, want %d (a postponed expiry counts once)", got, pending)
+	}
+}
+
+// stopAfterEnv hides node.Postponer from its timers, so node.Rearm takes
+// the Stop-and-After path: the reference the in-place re-arm must match.
+type stopAfterEnv struct{ node.Env }
+
+type stopOnlyTimer struct{ t node.Timer }
+
+func (s stopOnlyTimer) Stop() bool { return s.t.Stop() }
+
+func (e stopAfterEnv) After(d time.Duration, fn func()) node.Timer {
+	return stopOnlyTimer{e.Env.After(d, fn)}
+}
+
+// TestPostponedRearmMatchesStopAfter runs a crash → recover → Restart
+// scenario (fresh and persisted restarts, a monitor crashing while its
+// peers' expiries are pending) with the in-place re-arm and with Stop and
+// After. The suspicion traces, the kernel's step count and its clock must
+// be identical: netsim runs no callback of a crashed process, so nothing
+// postpones a crashed owner's timer, and a timer stopped by Restart is armed
+// afresh either way.
+func TestPostponedRearmMatchesStopAfter(t *testing.T) {
+	run := func(wrap func(node.Env) node.Env) (string, uint64) {
+		c := newHBClusterEnv(t, 5, netsim.Uniform{Min: time.Millisecond, Max: 40 * time.Millisecond}, time.Second, 1500*time.Millisecond, wrap)
+		c.sim.At(3*time.Second, func() { c.net.Crash(2) })
+		c.sim.At(4500*time.Millisecond, func() { c.net.Crash(0) })
+		c.sim.At(9*time.Second, func() {
+			c.net.Recover(2)
+			c.nodes[2].Restart(true)
+		})
+		c.sim.At(11*time.Second, func() {
+			c.net.Recover(0)
+			c.nodes[0].Restart(false)
+		})
+		c.sim.At(14*time.Second, func() {
+			c.net.Crash(4)
+			c.net.Recover(4)
+			c.nodes[4].Restart(true)
+		})
+		c.sim.RunUntil(25 * time.Second)
+		return fmt.Sprint(c.log.Events(), c.sim.Now()), c.sim.Steps()
+	}
+	want, wantSteps := run(func(e node.Env) node.Env { return stopAfterEnv{e} })
+	got, gotSteps := run(func(e node.Env) node.Env { return e })
+	if !strings.Contains(want, "suspects") || !strings.Contains(want, "trusts") {
+		t.Fatalf("scenario raised and cleared no suspicion; too weak: %s", want)
+	}
+	if got != want || gotSteps != wantSteps {
+		t.Fatalf("in-place re-arm diverged from Stop+After:\ngot  %d steps %s\nwant %d steps %s", gotSteps, got, wantSteps, want)
 	}
 }

@@ -519,6 +519,9 @@ type Env struct {
 
 var _ node.Env = (*Env)(nil)
 
+// After returns the kernel's *des.Timer, so node.Rearm can postpone it.
+var _ node.Postponer = (*des.Timer)(nil)
+
 // deadTimer is the handle returned for timers dropped at arm time (armed by
 // an already-crashed process): never pending, Stop always false.
 type deadTimer struct{}
@@ -537,6 +540,11 @@ func (e *Env) Now() time.Duration { return e.net.sim.Now() }
 // scheduling it would only queue dead weight in the kernel for the length of
 // the downtime. The callback of a live-armed timer is still suppressed if
 // the process has crashed by the time it fires.
+//
+// A live-armed timer's handle is the kernel's *des.Timer, which implements
+// node.Postponer: postponing it keeps the crash guard, and since a crashed
+// process runs no callbacks, nothing postpones a timer while its owner is
+// down.
 func (e *Env) After(d time.Duration, fn func()) node.Timer {
 	net := e.net
 	if net.crashed.Has(e.id) {

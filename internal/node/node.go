@@ -19,6 +19,38 @@ type Timer interface {
 	Stop() bool
 }
 
+// Postponer is an optional Timer capability: moving a pending timer to a
+// later deadline in place. Postpone(d) reschedules the timer's callback to d
+// from now, exactly as stopping it and arming the same callback with
+// Env.After(d, ...) would — same fire order — but without a new timer. It
+// returns false and changes nothing when the timer has already fired or
+// been stopped, or when the new deadline is earlier than the current one.
+//
+// The simulated runtime's timers (*des.Timer, returned unchanged through
+// netsim's Env.After) implement it; runtimes whose timers do not are still
+// complete Envs, and Rearm falls back to Stop and After for them. A crashed
+// process runs no callbacks on the simulator, so nothing ever postpones a
+// timer whose owner is down.
+type Postponer interface {
+	Postpone(d time.Duration) bool
+}
+
+// Rearm moves t, a timer that env.After armed with fn, to fire d from now,
+// and returns the handle to keep. It postpones t in place when t supports
+// it and the move is possible; otherwise it stops t (if any) and arms fn
+// anew. Either way the callback fires exactly when a Stop followed by
+// env.After(d, fn) would have fired it. fn must be the callback t was armed
+// with: a postponed timer keeps its callback.
+func Rearm(env Env, t Timer, d time.Duration, fn func()) Timer {
+	if p, ok := t.(Postponer); ok && p.Postpone(d) {
+		return t
+	}
+	if t != nil {
+		t.Stop()
+	}
+	return env.After(d, fn)
+}
+
 // Env is the world as seen by one process: its identity, a clock, a
 // scheduler and an unreliable asynchronous network. Message sending never
 // blocks and never fails synchronously; delivery order and timing are

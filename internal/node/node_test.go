@@ -79,3 +79,50 @@ func TestEnvContract(t *testing.T) {
 		t.Error("Send/Broadcast not recorded")
 	}
 }
+
+// postponeTimer is a fakeTimer that can also be postponed while it is not
+// stopped, up to a latest deadline it accepts.
+type postponeTimer struct {
+	fakeTimer
+	limit     time.Duration
+	postponed []time.Duration
+}
+
+func (p *postponeTimer) Postpone(d time.Duration) bool {
+	if p.stopped || d > p.limit {
+		return false
+	}
+	p.postponed = append(p.postponed, d)
+	return true
+}
+
+// TestRearm pins Rearm's three paths: postpone in place, fall back to Stop
+// and After when the timer declines or cannot postpone, and arm afresh when
+// there is no timer yet.
+func TestRearm(t *testing.T) {
+	env := &fakeEnv{id: 1}
+	runs := 0
+	fn := func() { runs++ }
+
+	pt := &postponeTimer{limit: time.Second}
+	if got := Rearm(env, pt, time.Second, fn); got != Timer(pt) || runs != 0 || pt.stopped {
+		t.Fatalf("postponable timer: got %v, runs=%d stopped=%v; want it postponed in place", got, runs, pt.stopped)
+	}
+	if len(pt.postponed) != 1 || pt.postponed[0] != time.Second {
+		t.Fatalf("Postpone calls = %v, want [1s]", pt.postponed)
+	}
+
+	got := Rearm(env, pt, 2*time.Second, fn)
+	if got == Timer(pt) || !pt.stopped || runs != 1 {
+		t.Fatalf("declined Postpone: got %v, stopped=%v runs=%d; want Stop then a fresh After", got, pt.stopped, runs)
+	}
+
+	ft := &fakeTimer{}
+	if got := Rearm(env, ft, time.Second, fn); got == Timer(ft) || !ft.stopped || runs != 2 {
+		t.Fatalf("plain timer: got %v, stopped=%v runs=%d; want Stop then a fresh After", got, ft.stopped, runs)
+	}
+
+	if got := Rearm(env, nil, time.Second, fn); got == nil || runs != 3 {
+		t.Fatalf("no timer: got %v, runs=%d; want a fresh After", got, runs)
+	}
+}
